@@ -6,13 +6,13 @@ GO ?= go
 
 .PHONY: check ci-local fast-gate build vet fmt-check test race corralvet \
 	chaos fuzz overload trace-determinism resume-determinism bench bench-compare \
-	scale scale-bench-compare scale-nightly
+	scale scale-bench-compare scale-nightly perfbench-check
 
 check: build vet fmt-check test race chaos fuzz overload trace-determinism resume-determinism
 	@echo "check: all gates passed"
 
 # One target per CI job, in the workflow's job order.
-ci-local: fast-gate test trace-determinism resume-determinism race chaos fuzz overload bench-compare scale scale-bench-compare
+ci-local: fast-gate perfbench-check test trace-determinism resume-determinism race chaos fuzz overload bench-compare scale scale-bench-compare
 	@echo "ci-local: all CI jobs passed"
 
 fast-gate: build vet fmt-check
@@ -26,6 +26,12 @@ build:
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/corralvet ./...
+
+# perfbench/ is its own Go module (replace corral => ../), so the root
+# `go build ./...` never compiles it; vet and self-test it here so an API
+# change that breaks the repository benchmark fails CI.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -94,7 +100,7 @@ trace-determinism:
 
 # Datacenter-scale gate: the 2k + 5k cells of the scale suite with full
 # verification (same-seed determinism rerun + mid-flight snapshot/resume
-# + plan serial-equivalence and wall-clock budget at every cell).
+# + plan wall-clock budget at every cell).
 # corralsim exits non-zero on any verification failure; the JSON report
 # lands in scale-report.json (uploaded as a CI artifact even on red).
 scale:

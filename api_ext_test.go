@@ -50,7 +50,7 @@ func TestReplanViaAPI(t *testing.T) {
 	}
 	// The merged plan drives a real simulation of both waves.
 	res, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerCorral, Plan: merged, Seed: 41,
+		Topology: cluster, Scheduler: corral.SchedulerCorral, Plan: merged, Seed: 41,
 	}, append(corral.CloneJobs(wave1), wave2...))
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestFailureInjectionViaAPI(t *testing.T) {
 	cluster := smallCluster()
 	jobs := smallWorkload(43)
 	res, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 43,
+		Topology: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 43,
 		Failures: []corral.Failure{{At: 1, Machine: 0}, {At: 2, Machine: 5}},
 	}, jobs)
 	if err != nil {
@@ -80,7 +80,7 @@ func TestFailureInjectionViaAPI(t *testing.T) {
 func TestStragglersAndSpeculationViaAPI(t *testing.T) {
 	cluster := smallCluster()
 	base := corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 44,
+		Topology: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 44,
 		StragglerFraction: 0.3, StragglerSlowdown: 15,
 	}
 	slow, err := corral.Simulate(base, smallWorkload(44))
@@ -102,7 +102,7 @@ func TestRemoteStorageViaAPI(t *testing.T) {
 	cluster := smallCluster()
 	cluster.RemoteStorageBandwidth = 4e9
 	res, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 45,
+		Topology: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 45,
 		RemoteStorageInput: true,
 	}, smallWorkload(45))
 	if err != nil {
@@ -117,13 +117,13 @@ func TestInMemoryViaAPI(t *testing.T) {
 	cluster := smallCluster()
 	jobs := smallWorkload(46)
 	plain, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 46,
+		Topology: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 46,
 	}, corral.CloneJobs(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mem, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 46,
+		Topology: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 46,
 		InMemoryInput: true,
 	}, corral.CloneJobs(jobs))
 	if err != nil {

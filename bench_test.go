@@ -172,7 +172,7 @@ func BenchmarkSimulateSmallBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := corral.Simulate(corral.SimConfig{
-			Cluster: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 1,
+			Topology: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 1,
 		}, corral.CloneJobs(jobs)); err != nil {
 			b.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func BenchmarkAdmissionControl(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		res, err = corral.Simulate(corral.SimConfig{
-			Cluster: cluster, Seed: 1,
+			Topology: cluster, Seed: 1,
 			AdmissionLimit: 2, AdmissionQueueCap: 4,
 		}, corral.CloneJobs(jobs))
 		if err != nil {

@@ -42,7 +42,7 @@ func TestPlanAndSimulateEndToEnd(t *testing.T) {
 		t.Fatalf("plan covers %d jobs, want %d", len(plan.Assignments), len(jobs))
 	}
 	res, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 1,
+		Topology: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 1,
 	}, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +68,8 @@ func TestSchedulerComparison(t *testing.T) {
 	}
 	results := map[string]*corral.Result{}
 	for name, cfg := range map[string]corral.SimConfig{
-		"yarn":   {Cluster: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 3},
-		"corral": {Cluster: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 3},
+		"yarn":   {Topology: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 3},
+		"corral": {Topology: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 3},
 	} {
 		res, err := corral.Simulate(cfg, corral.CloneJobs(jobs))
 		if err != nil {
@@ -121,7 +121,7 @@ func TestVarysPolicyAvailable(t *testing.T) {
 	cluster := smallCluster()
 	jobs := smallWorkload(5)
 	res, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerYarnCS,
+		Topology: cluster, Scheduler: corral.SchedulerYarnCS,
 		Network: corral.VarysCoflow(), Seed: 5,
 	}, jobs)
 	if err != nil {

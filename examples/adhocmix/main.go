@@ -50,7 +50,7 @@ func main() {
 	}
 
 	yarn, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 9,
+		Topology: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 9,
 	}, build())
 	if err != nil {
 		log.Fatal(err)
@@ -61,7 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cres, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 9,
+		Topology: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 9,
 	}, jobs)
 	if err != nil {
 		log.Fatal(err)
@@ -82,7 +82,7 @@ func main() {
 	// finish.
 	failed := []int{0, 1, 2}
 	fres, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerCorral, Plan: plan,
+		Topology: cluster, Scheduler: corral.SchedulerCorral, Plan: plan,
 		Seed: 9, FailedMachines: failed,
 	}, build())
 	if err != nil {

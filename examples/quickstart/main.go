@@ -59,8 +59,8 @@ func main() {
 		name string
 		cfg  corral.SimConfig
 	}{
-		{"yarn-cs", corral.SimConfig{Cluster: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 42}},
-		{"corral", corral.SimConfig{Cluster: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 42}},
+		{"yarn-cs", corral.SimConfig{Topology: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 42}},
+		{"corral", corral.SimConfig{Topology: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 42}},
 	} {
 		res, err := corral.Simulate(run.cfg, corral.CloneJobs(jobs))
 		if err != nil {

@@ -59,13 +59,13 @@ func main() {
 		log.Fatal(err)
 	}
 	corralRes, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 7,
+		Topology: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 7,
 	}, corral.CloneJobs(actual))
 	if err != nil {
 		log.Fatal(err)
 	}
 	yarnRes, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 7,
+		Topology: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 7,
 	}, corral.CloneJobs(actual))
 	if err != nil {
 		log.Fatal(err)

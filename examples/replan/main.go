@@ -72,13 +72,13 @@ func main() {
 	all := append(corral.CloneJobs(wave1), corral.CloneJobs(wave2)...)
 
 	corralRes, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerCorral, Plan: merged, Seed: 31,
+		Topology: cluster, Scheduler: corral.SchedulerCorral, Plan: merged, Seed: 31,
 	}, corral.CloneJobs(all))
 	if err != nil {
 		log.Fatal(err)
 	}
 	yarnRes, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 31,
+		Topology: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 31,
 	}, corral.CloneJobs(all))
 	if err != nil {
 		log.Fatal(err)

@@ -53,7 +53,7 @@ func main() {
 
 	yarnJobs := build()
 	yarn, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 3,
+		Topology: cluster, Scheduler: corral.SchedulerYarnCS, Seed: 3,
 	}, yarnJobs)
 	if err != nil {
 		log.Fatal(err)
@@ -65,7 +65,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cres, err := corral.Simulate(corral.SimConfig{
-		Cluster: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 3,
+		Topology: cluster, Scheduler: corral.SchedulerCorral, Plan: plan, Seed: 3,
 	}, corralJobs)
 	if err != nil {
 		log.Fatal(err)

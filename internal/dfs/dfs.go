@@ -551,17 +551,28 @@ func (s *Store) AuditAccounting() error {
 			}
 		}
 	}
-	const eps = 1e-3 // bytes; block sizes are large, float error is tiny
+	// The view adds and subtracts block sizes in commit order while this
+	// audit re-sums them in file order, so the two differ by float64
+	// rounding that grows with the totals compared (~0.1 B at multi-TB
+	// racks after tens of thousands of repairs). The tolerance therefore
+	// scales with the larger value, with a 1e-3 B floor for small totals.
+	drift := func(view, held float64) error {
+		tol := math.Max(1e-3, 1e-12*math.Max(math.Abs(view), math.Abs(held)))
+		if math.Abs(view-held) > tol {
+			return fmt.Errorf("accounts %.1f bytes, files hold %.1f (difference %+g)", view, held, view-held)
+		}
+		return nil
+	}
 	racks := make([]float64, len(s.view.rackBytes))
 	for m, got := range machines {
-		if diff := got - s.view.machineBytes[m]; diff > eps || diff < -eps {
-			return fmt.Errorf("dfs audit: machine %d accounts %.1f bytes, files hold %.1f", m, s.view.machineBytes[m], got)
+		if err := drift(s.view.machineBytes[m], got); err != nil {
+			return fmt.Errorf("dfs audit: machine %d %w", m, err)
 		}
 		racks[s.cluster.RackOf(m)] += got
 	}
 	for r, got := range racks {
-		if diff := got - s.view.rackBytes[r]; diff > eps || diff < -eps {
-			return fmt.Errorf("dfs audit: rack %d accounts %.1f bytes, files hold %.1f", r, s.view.rackBytes[r], got)
+		if err := drift(s.view.rackBytes[r], got); err != nil {
+			return fmt.Errorf("dfs audit: rack %d %w", r, err)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -339,5 +340,67 @@ func TestQuickPlacementInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAuditAccountingToleratesFloatDrift: the view adds and subtracts
+// block sizes in commit order while the audit re-sums them in file order,
+// so at multi-TB totals they differ by float64 rounding. That drift must
+// pass, while a one-block discrepancy at the same totals is still caught.
+func TestAuditAccountingToleratesFloatDrift(t *testing.T) {
+	const blockSize = 1e9
+	s := New(testCluster(), blockSize, rand.New(rand.NewSource(3)))
+	rng := rand.New(rand.NewSource(4))
+	var blocks []*Block
+	for i := 0; i < 5000; i++ {
+		// Non-integer sizes of one or two blocks.
+		f, err := s.Create(fmt.Sprintf("f%04d", i), blockSize*(0.5+rng.Float64()), DefaultPlacement{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range f.Blocks {
+			blocks = append(blocks, &f.Blocks[j])
+		}
+		// Repair cycles: corrupt a random replica and re-create it on the
+		// repair target, removing its bytes from one machine and adding
+		// them to another.
+		for k := 0; k < 12; k++ {
+			b := blocks[rng.Intn(len(blocks))]
+			s.CorruptReplica(b, b.Replicas[rng.Intn(len(b.Replicas))])
+			for _, r := range s.PlanRepairs(b, nil) {
+				s.CommitRepair(r)
+			}
+		}
+	}
+	// Re-sum rack bytes in the audit's (sorted file name) order to measure
+	// the drift it sees.
+	racks := make([]float64, len(s.view.rackBytes))
+	for i := 0; i < 5000; i++ {
+		f, _ := s.Open(fmt.Sprintf("f%04d", i))
+		for _, b := range f.Blocks {
+			for _, m := range b.Replicas {
+				racks[s.cluster.RackOf(m)] += b.Size
+			}
+		}
+	}
+	drift := 0.0
+	for r, held := range racks {
+		drift = math.Max(drift, math.Abs(s.view.rackBytes[r]-held))
+	}
+	if racks[0] < 1e12 || drift <= 1e-3 {
+		t.Fatalf("rack 0 holds %.3g bytes with %.3g bytes of drift; want TB totals and drift above 1e-3 B", racks[0], drift)
+	}
+	if err := s.AuditAccounting(); err != nil {
+		t.Fatalf("float drift of %.3g bytes reported as a violation: %v", drift, err)
+	}
+
+	s.view.rackBytes[2] += blockSize
+	if err := s.AuditAccounting(); err == nil {
+		t.Fatal("audit missed a one-block rack discrepancy at TB totals")
+	}
+	s.view.rackBytes[2] -= blockSize
+	s.view.machineBytes[5] -= blockSize
+	if err := s.AuditAccounting(); err == nil {
+		t.Fatal("audit missed a one-block machine discrepancy at TB totals")
 	}
 }

@@ -50,14 +50,15 @@ func Fig14(p Params) (*Report, error) {
 		sched runtime.Kind
 		net   netsim.Policy
 	}{
-		{"yarn-cs+tcp", runtime.YarnCS, netsim.MaxMinFair{}},
+		{"yarn-cs+tcp", runtime.YarnCS, nil},
 		{"yarn-cs+varys", runtime.YarnCS, netsim.Varys{}},
-		{"corral+tcp", runtime.Corral, netsim.MaxMinFair{}},
+		{"corral+tcp", runtime.Corral, nil},
 		{"corral+varys", runtime.Corral, netsim.Varys{}},
 	}
 	// The four scheduler x flow-policy combos fan out as independent cells
-	// (parallel.go). MaxMinFair and Varys are stateless values, safe to
-	// hand to concurrent runs; the plan is read-only.
+	// (parallel.go). A nil Network gives each run its own max-min
+	// allocator and Varys is a stateless value, so both are safe for
+	// concurrent runs; the plan is read-only.
 	combosTimes := make([][]float64, len(combos))
 	if err := parallelFor(len(combos), func(i int) error {
 		c := combos[i]

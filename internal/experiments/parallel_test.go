@@ -106,7 +106,8 @@ func TestParallelSweepTwoSeedReplay(t *testing.T) {
 // TestGroupedPolicyResultsIdentical is the runtime-level half of the
 // allocator differential: a full simulated execution (placement, shuffle,
 // DFS writes, accounting) must produce a DeepEqual Result under the
-// reference MaxMinFair and the grouped fast path.
+// reference MaxMinFair, the grouped allocator and the default (nil
+// Network: the incremental allocator).
 func TestGroupedPolicyResultsIdentical(t *testing.T) {
 	prof := profileFor(SizeS)
 	topo := prof.withBackground(prof.bgFrac)
@@ -115,19 +116,21 @@ func TestGroupedPolicyResultsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(p netsim.Policy) *runtime.Result {
+	run := func(name string, p netsim.Policy) *runtime.Result {
 		res, err := runtime.Run(runtime.Options{
 			Topology: topo, Scheduler: runtime.Corral, Plan: plan, Seed: 11,
 			Network: p,
 		}, workload.Clone(jobs))
 		if err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		return res
 	}
-	ref := run(netsim.MaxMinFair{})
-	got := run(netsim.NewGroupedMaxMin())
-	if !reflect.DeepEqual(ref, got) {
+	ref := run("maxmin", netsim.MaxMinFair{})
+	if got := run("grouped", netsim.NewGroupedMaxMin()); !reflect.DeepEqual(ref, got) {
 		t.Errorf("results diverge between MaxMinFair and GroupedMaxMin:\n maxmin:  %+v\n grouped: %+v", ref, got)
+	}
+	if got := run("default", nil); !reflect.DeepEqual(ref, got) {
+		t.Errorf("results diverge between MaxMinFair and the default allocator:\n maxmin:  %+v\n default: %+v", ref, got)
 	}
 }

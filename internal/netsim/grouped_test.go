@@ -85,18 +85,16 @@ type runLog struct {
 // replay runs the script against a fresh simulator/network under p and
 // returns the full bit-exact allocation log.
 func replay(c *topology.Cluster, ops []scriptOp, p Policy) runLog {
-	return replayWith(c, ops, p, 0, false)
+	return replayWith(c, ops, p, false)
 }
 
-// replayWith is replay with the scale knobs dialed: a flow-epoch batching
-// quantum and/or Flow-object pooling. Under pooling a handle is dead once
-// its flow completes or is canceled, so the cancel ops consult a liveness
-// table — skipping a dead handle is exactly the reference's
-// cancel-finished-flow no-op.
-func replayWith(c *topology.Cluster, ops []scriptOp, p Policy, epoch des.Time, pooling bool) runLog {
+// replayWith is replay with Flow-object pooling dialed. Under pooling a
+// handle is dead once its flow completes or is canceled, so the cancel ops
+// consult a liveness table — skipping a dead handle is exactly the
+// reference's cancel-finished-flow no-op.
+func replayWith(c *topology.Cluster, ops []scriptOp, p Policy, pooling bool) runLog {
 	sim := des.New()
 	n := New(sim, c, p)
-	n.SetFlowEpoch(epoch)
 	n.SetFlowPooling(pooling)
 	log := runLog{completions: make(map[int64]des.Time)}
 	n.OnAllocate = func() {

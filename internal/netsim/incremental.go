@@ -30,7 +30,7 @@ import "corral/internal/topology"
 // rule), so the cached per-group rates ARE the rates a full fill would
 // compute. The seeded differential tests in incremental_test.go enforce
 // the equivalence bit-for-bit against both GroupedMaxMin and MaxMinFair,
-// across starts, cancels, link faults and flow-epoch batching.
+// across starts, cancels, link faults and Flow pooling.
 //
 // When the dirty set exceeds FallbackFrac of all groups the allocator
 // runs the plain full grouped pass (same code path, so trivially

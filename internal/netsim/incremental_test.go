@@ -187,13 +187,10 @@ func TestIncrementalBitIdenticalToGrouped(t *testing.T) {
 	}
 }
 
-// TestIncrementalBitIdenticalUnderEpochAndPooling runs the differential
-// scripts with the scale knobs on: a flow-epoch batching quantum (same on
-// both sides — batching changes the recompute schedule, which must stay a
-// pure function of the change sequence) and Flow pooling on the
-// incremental side only (object recycling must be invisible to rates,
-// completions and accounting).
-func TestIncrementalBitIdenticalUnderEpochAndPooling(t *testing.T) {
+// TestIncrementalBitIdenticalUnderPooling runs the differential scripts
+// with Flow pooling on the incremental side only: object recycling must be
+// invisible to rates, completions and accounting.
+func TestIncrementalBitIdenticalUnderPooling(t *testing.T) {
 	c := topology.MustNew(topology.Config{
 		Racks:            4,
 		MachinesPerRack:  5,
@@ -201,50 +198,18 @@ func TestIncrementalBitIdenticalUnderEpochAndPooling(t *testing.T) {
 		NICBandwidth:     10 * gbps,
 		Oversubscription: 5,
 	})
-	const epoch = des.Time(0.05)
-	batchedSomewhere := false
 	for seed := int64(1); seed <= 4; seed++ {
 		ops := genScript(rand.New(rand.NewSource(seed)), c, 300)
-		exact := replay(c, ops, NewGroupedMaxMin())
-		ref := replayWith(c, ops, NewGroupedMaxMin(), epoch, false)
-		got := replayWith(c, ops, NewIncrementalMaxMin(), epoch, true)
+		ref := replay(c, ops, NewGroupedMaxMin())
+		got := replayWith(c, ops, NewIncrementalMaxMin(), true)
 		if !reflect.DeepEqual(ref.snaps, got.snaps) {
-			t.Fatalf("seed %d: allocations diverge between grouped and pooled incremental under epoch batching", seed)
+			t.Fatalf("seed %d: allocations diverge between grouped and pooled incremental", seed)
 		}
 		if !reflect.DeepEqual(ref.completions, got.completions) {
-			t.Fatalf("seed %d: completion times diverge under epoch batching", seed)
+			t.Fatalf("seed %d: completion times diverge under pooling", seed)
 		}
 		if ref.cross != got.cross || ref.total != got.total || ref.served != got.served {
-			t.Fatalf("seed %d: accounting diverges under epoch batching", seed)
-		}
-		if len(ref.snaps) < len(exact.snaps) {
-			batchedSomewhere = true
-		}
-	}
-	if !batchedSomewhere {
-		t.Fatal("epoch batching never coalesced a recompute on any seed: test is vacuous")
-	}
-}
-
-// TestFlowEpochQuantizesRecomputes pins the batching contract directly: a
-// burst of starts spread inside one quantum triggers exactly one
-// allocation, at the epoch boundary.
-func TestFlowEpochQuantizesRecomputes(t *testing.T) {
-	sim, n := newNet(t, NewIncrementalMaxMin())
-	n.SetFlowEpoch(0.25)
-	var at []des.Time
-	n.OnAllocate = func() { at = append(at, sim.Now()) }
-	for i := 0; i < 5; i++ {
-		d := des.Time(0.01 + float64(i)*0.02)
-		sim.At(d, func() { n.Start(0, 4, 1*gbps, 0, 0, nil) })
-	}
-	sim.Run()
-	if len(at) == 0 || at[0] != 0.25 {
-		t.Fatalf("first allocation at %v, want exactly at the 0.25 epoch boundary (allocations: %v)", at, at)
-	}
-	for i := 1; i < len(at); i++ {
-		if at[i] < at[i-1] {
-			t.Fatalf("allocation times regressed: %v", at)
+			t.Fatalf("seed %d: accounting diverges under pooling", seed)
 		}
 	}
 }

@@ -14,7 +14,7 @@
 //     has a fast engine (provision.go: precomputed widening chain,
 //     parallel candidate evaluation, group-compressed objective) that is
 //     bit-identical to the straightforward serial loop kept as the
-//     differential reference behind Input.Serial.
+//     differential oracle in provision_test.go.
 //
 //   - Prioritization (Fig 4): an extension of LPT/LIST scheduling. Jobs
 //     are sorted (batch: widest first, then longest; online: by arrival,
@@ -67,11 +67,6 @@ type Input struct {
 	// disables the penalty.
 	Alpha     float64
 	Objective Objective
-	// Serial selects the legacy serial provisioning engine (one full
-	// prioritization run per candidate allocation). It exists as the
-	// differential-test reference for the fast path and produces
-	// bit-identical plans; leave it false outside tests.
-	Serial bool
 	// Trace, if set, receives plan_start/plan_assign/plan_done events for
 	// this invocation. When nil, New and Replan ask the process-wide trace
 	// collector for a run tracer (nil again keeps tracing disabled).
@@ -147,10 +142,10 @@ func New(in Input) (*Plan, error) {
 }
 
 // planTwoPhase is the shared core behind New, Replan and the public
-// wrappers: validate, provision (fast or serial per Input.Serial), run the
-// final prioritization, materialize. initF seeds per-rack availability
-// times (Replan commitments); nil means every rack free at time zero. now
-// stamps trace events.
+// wrappers: validate, provision, run the final prioritization,
+// materialize. initF seeds per-rack availability times (Replan
+// commitments); nil means every rack free at time zero. now stamps trace
+// events.
 func planTwoPhase(in Input, now float64, initF []float64) (*Plan, error) {
 	J := len(in.Jobs)
 	plan := &Plan{Assignments: make(map[int]*Assignment, J), Objective: in.Objective}
@@ -178,7 +173,7 @@ func planTwoPhase(in Input, now float64, initF []float64) (*Plan, error) {
 	}
 
 	// Provisioning phase: explore the J·(R−1)+1 allocation prefix chain.
-	bestRj := provision(in, resp, initF)
+	bestRj := provisionFast(in, resp, initF)
 
 	// Materialize the winning schedule with one final prioritization run.
 	sched := newScheduler(in, resp)

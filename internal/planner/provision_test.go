@@ -1,17 +1,70 @@
 package planner
 
 // Differential tests for the provisioning fast path: the parallel /
-// incremental / group-compressed engine must produce Plans DeepEqual to
-// the legacy serial reference (Input.Serial) — the same playbook that
+// incremental / group-compressed engine must pick exactly the widths of
+// the legacy serial loop (provisionSerial below) — the same playbook that
 // proved GroupedMaxMin bit-identical to MaxMinFair.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"corral/internal/job"
 	"corral/internal/model"
+	"corral/internal/topology"
+	"corral/internal/workload"
 )
+
+// provisionSerial is the legacy engine, kept verbatim as the differential
+// reference: one scheduler, every candidate evaluated in chain order with
+// a full prioritization run, best kept under strict `<`.
+func provisionSerial(in Input, resp []model.ResponseFunc, initF []float64) []int {
+	R := in.Cluster.Racks
+	rj := make([]int, len(in.Jobs))
+	for i := range rj {
+		rj[i] = 1
+	}
+	sched := newScheduler(in, resp)
+	sched.initF = initF
+
+	bestObj := sched.run(rj).objective(in.Objective)
+	bestRj := append([]int(nil), rj...)
+	for {
+		// Widen the longest job that is not yet cluster-wide.
+		longest, longestLat := -1, -1.0
+		for i := range rj {
+			if rj[i] >= R {
+				continue
+			}
+			if l := resp[i].At(rj[i]); l > longestLat {
+				longest, longestLat = i, l
+			}
+		}
+		if longest == -1 {
+			break
+		}
+		rj[longest]++
+		if obj := sched.run(rj).objective(in.Objective); obj < bestObj {
+			bestObj = obj
+			copy(bestRj, rj)
+		}
+	}
+	return bestRj
+}
+
+// checkFastMatchesSerial runs both provisioning engines on one planning
+// input. Everything after provisioning is shared code, so equal widths
+// mean DeepEqual plans.
+func checkFastMatchesSerial(t *testing.T, name string, in Input, initF []float64) {
+	t.Helper()
+	resp := responseFuncs(t, in)
+	fast, serial := provisionFast(in, resp, initF), provisionSerial(in, resp, initF)
+	if !reflect.DeepEqual(fast, serial) {
+		t.Fatalf("%s: fast widths differ from the serial reference\nfast:   %v\nserial: %v", name, fast, serial)
+	}
+}
 
 // randomCommitments reserves a few random rack sets until random times.
 func randomCommitments(rng *rand.Rand, R int, now float64) []Commitment {
@@ -26,46 +79,51 @@ func randomCommitments(rng *rand.Rand, R int, now float64) []Commitment {
 
 // TestProvisionFastMatchesSerial fuzzes the fast path against the legacy
 // serial engine across seeded random workloads × {batch, online} ×
-// {fresh plan, replan with commitments}: the Plans must be DeepEqual —
-// same rack sets, starts, priorities, latencies and metrics, bit for bit.
+// {fresh plan, replan with commitments}, plus the scale suite's 2k cell
+// (50 racks × 40 machines, 200 online W1 jobs at 1/8 scale over 100 s):
+// the chosen widths must be identical.
 func TestProvisionFastMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, obj := range []Objective{MinimizeMakespan, MinimizeAvgCompletion} {
 			rng := rand.New(rand.NewSource(seed))
 			jobs := randomJobs(rng, rng.Intn(40)+1)
 			in := Input{Cluster: testClusterModel(), Jobs: jobs, Alpha: -1, Objective: obj}
-
 			fast, err := New(in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ser := in
-			ser.Serial = true
-			slow, err := New(ser)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fast, slow) {
-				t.Fatalf("seed %d %s: fast plan differs from serial reference\nfast: %+v\nserial: %+v",
-					seed, obj, fast, slow)
-			}
 			checkPlanInvariants(t, in, fast)
+			checkFastMatchesSerial(t, fmt.Sprintf("seed %d %s", seed, obj), in, nil)
 
 			now := rng.Float64() * 2000
-			cs := randomCommitments(rng, in.Cluster.Racks, now)
-			fastR, err := Replan(in, now, cs)
+			initF, err := commitmentAvailability(in.Cluster.Racks, now, randomCommitments(rng, in.Cluster.Racks, now))
 			if err != nil {
 				t.Fatal(err)
 			}
-			slowR, err := Replan(ser, now, cs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fastR, slowR) {
-				t.Fatalf("seed %d %s replan: fast plan differs from serial reference", seed, obj)
-			}
+			re := in
+			re.Jobs = clampArrivals(in.Jobs, now)
+			checkFastMatchesSerial(t, fmt.Sprintf("seed %d %s replan", seed, obj), re, initF)
 		}
 	}
+
+	cell := workload.W1(workload.Config{
+		Seed: 1, Jobs: 200, Scale: 1.0 / 8, TaskScale: 1.0 / 8, ArrivalWindow: 100,
+	})
+	var planned []*job.Job
+	for _, j := range cell {
+		if !j.AdHoc {
+			planned = append(planned, j)
+		}
+	}
+	checkFastMatchesSerial(t, "2k scale cell", Input{
+		Cluster: model.FromTopology(topology.Config{
+			Racks: 50, MachinesPerRack: 40, SlotsPerMachine: 2,
+			NICBandwidth: 10 * gbps, Oversubscription: 5,
+		}),
+		Jobs:      planned,
+		Alpha:     -1,
+		Objective: MinimizeAvgCompletion,
+	}, nil)
 }
 
 // TestProvisionWorkerCountInvariance pins the determinism contract: the

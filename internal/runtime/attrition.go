@@ -42,26 +42,16 @@ import (
 	"corral/internal/des"
 	"corral/internal/dfs"
 	"corral/internal/invariants"
+	"corral/internal/snapshot"
 	"corral/internal/trace"
 )
 
-// AMFailure kills job JobID's application master at a point in simulated
-// time. A failure while the job is unsubmitted, already terminal, or
-// already restarting is absorbed.
-type AMFailure struct {
-	At    float64
-	JobID int
-}
-
-// Corruption silently corrupts one DFS block replica held on Machine at a
-// point in simulated time. The replica is chosen deterministically from
-// the runtime's seeded rng among blocks that keep at least one clean live
-// replica elsewhere (a scrubbed DFS never lets silent corruption eat the
-// last copy; modelling that would just wedge the read forever).
-type Corruption struct {
-	At      float64
-	Machine int
-}
+// AMFailure and Corruption are the snapshot schema's fault records (see
+// snapshot.AMFailure and snapshot.Corruption).
+type (
+	AMFailure  = snapshot.AMFailure
+	Corruption = snapshot.Corruption
+)
 
 // probe forwards a lifecycle event to the configured invariant probe.
 func (rt *runtime) probe(kind invariants.Kind, machine, jobID int) {

@@ -44,28 +44,17 @@ import (
 	"corral/internal/des"
 	"corral/internal/invariants"
 	"corral/internal/netsim"
+	"corral/internal/snapshot"
 	"corral/internal/trace"
 )
 
-// Failure kills one machine at a point in simulated time. A positive
-// Downtime makes the failure transient: the machine recovers (slots and
-// disk) at At+Downtime. Zero means the machine never comes back.
-type Failure struct {
-	At       float64
-	Machine  int
-	Downtime float64
-}
-
-// LinkFault rescales one rack's uplink and downlink capacity at a point in
-// simulated time. Factor 1 restores the full topology capacity; 0 fails
-// the links outright (flows crossing them park until a later fault with a
-// positive factor). Faults for the same rack apply in time order; the
-// last one wins.
-type LinkFault struct {
-	At     float64
-	Rack   int
-	Factor float64
-}
+// Failure and LinkFault are the snapshot schema's fault records, so a
+// Spec carries them without conversion (see snapshot.Failure and
+// snapshot.LinkFault).
+type (
+	Failure   = snapshot.Failure
+	LinkFault = snapshot.LinkFault
+)
 
 // runningTask tracks one in-flight task attempt so it can be aborted.
 type runningTask struct {

@@ -83,13 +83,6 @@ type Options struct {
 	// Network is the bandwidth-sharing policy; nil selects the incremental
 	// max-min fast path (TCP-like rates, bit-identical to MaxMinFair).
 	Network netsim.Policy
-	// FlowEpoch, when positive, batches network rate recomputations to
-	// multiples of this many simulated seconds: flow starts, cancels and
-	// link faults inside one quantum are absorbed by a single re-waterfill
-	// (completions still recompute exactly). The coarse knob for the
-	// huge-shuffle tail at datacenter scale; zero keeps the exact
-	// recompute-on-change behavior.
-	FlowEpoch float64
 	// Scheduler selects the policy; Corral and LocalShuffle require Plan.
 	Scheduler Kind
 	Plan      *planner.Plan
@@ -519,9 +512,6 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	if opts.InMemoryInput {
 		opts.OutputReplication = 1
 	}
-	if opts.FlowEpoch < 0 {
-		return nil, fmt.Errorf("runtime: negative flow epoch %g", opts.FlowEpoch)
-	}
 	// Default to the incremental fast-path allocator: bit-identical rates
 	// to MaxMinFair and GroupedMaxMin (see netsim/incremental.go) but
 	// stateful, so each run gets a fresh instance — required for parallel
@@ -553,9 +543,6 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	// dropped in the done callback or cleared on abort), so retired flow
 	// objects are recycled instead of churning the GC.
 	rt.net.SetFlowPooling(true)
-	if opts.FlowEpoch > 0 {
-		rt.net.SetFlowEpoch(des.Time(opts.FlowEpoch))
-	}
 	rt.machineOrder = make([]int, m)
 	for i := range rt.freeSlots {
 		rt.freeSlots[i] = cluster.Config.SlotsPerMachine

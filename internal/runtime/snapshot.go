@@ -230,7 +230,6 @@ func (rt *runtime) buildSpec() (snapshot.Spec, error) {
 		Topology:  o.Topology,
 		Scheduler: o.Scheduler.String(),
 		Policy:    policy,
-		FlowEpoch: o.FlowEpoch,
 		Seed:      o.Seed,
 		Plan:      o.Plan,
 
@@ -262,40 +261,31 @@ func (rt *runtime) buildSpec() (snapshot.Spec, error) {
 		AdmissionLimit:      o.AdmissionLimit,
 		AdmissionQueueCap:   o.AdmissionQueueCap,
 
+		// Copies that stay nil when empty, so an empty schedule encodes as
+		// null.
 		FailedMachines: append([]int(nil), o.FailedMachines...),
+		Failures:       append([]Failure(nil), o.Failures...),
+		LinkFaults:     append([]LinkFault(nil), o.LinkFaults...),
+		AMFailures:     append([]AMFailure(nil), o.AMFailures...),
+		Corruptions:    append([]Corruption(nil), o.Corruptions...),
 	}
 	for _, je := range rt.jobs {
 		spec.Jobs = append(spec.Jobs, je.job)
-	}
-	for _, f := range o.Failures {
-		spec.Failures = append(spec.Failures, snapshot.Failure{At: f.At, Machine: f.Machine, Downtime: f.Downtime})
-	}
-	for _, lf := range o.LinkFaults {
-		spec.LinkFaults = append(spec.LinkFaults, snapshot.LinkFault{At: lf.At, Rack: lf.Rack, Factor: lf.Factor})
-	}
-	for _, af := range o.AMFailures {
-		spec.AMFailures = append(spec.AMFailures, snapshot.AMFailure{At: af.At, JobID: af.JobID})
-	}
-	for _, c := range o.Corruptions {
-		spec.Corruptions = append(spec.Corruptions, snapshot.Corruption{At: c.At, Machine: c.Machine})
 	}
 	return spec, nil
 }
 
 // policyByName is the inverse of Policy.Name for the bundled policies.
-// "" selects the default (a fresh incremental max-min instance per run —
-// bit-identical to the grouped and reference allocators, so snapshots
-// recorded under any earlier default resume equivalently).
+// "" selects the default. The three max-min names all resolve to a fresh
+// incremental allocator: the grouped and reference allocators compute
+// bit-identical rates, so snapshots recorded under any of them resume
+// equivalently.
 func policyByName(name string) (netsim.Policy, error) {
 	switch name {
 	case "":
 		return nil, nil
-	case "maxmin-incremental":
+	case "maxmin", "maxmin-grouped", "maxmin-incremental":
 		return netsim.NewIncrementalMaxMin(), nil
-	case "maxmin-grouped":
-		return netsim.NewGroupedMaxMin(), nil
-	case "maxmin":
-		return netsim.MaxMinFair{}, nil
 	case "varys":
 		return netsim.Varys{}, nil
 	}
@@ -312,11 +302,13 @@ func optionsFromSpec(spec *snapshot.Spec) (Options, []*job.Job, error) {
 	if err != nil {
 		return Options{}, nil, err
 	}
+	if spec.FlowEpoch != 0 {
+		return Options{}, nil, fmt.Errorf("runtime: snapshot spec sets FlowEpoch %g; flow-epoch batching is not supported", spec.FlowEpoch)
+	}
 	opts := Options{
 		Topology:  spec.Topology,
 		Scheduler: kind,
 		Network:   policy,
-		FlowEpoch: spec.FlowEpoch,
 		Seed:      spec.Seed,
 		Plan:      spec.Plan,
 
@@ -349,18 +341,10 @@ func optionsFromSpec(spec *snapshot.Spec) (Options, []*job.Job, error) {
 		AdmissionQueueCap:   spec.AdmissionQueueCap,
 
 		FailedMachines: append([]int(nil), spec.FailedMachines...),
-	}
-	for _, f := range spec.Failures {
-		opts.Failures = append(opts.Failures, Failure{At: f.At, Machine: f.Machine, Downtime: f.Downtime})
-	}
-	for _, lf := range spec.LinkFaults {
-		opts.LinkFaults = append(opts.LinkFaults, LinkFault{At: lf.At, Rack: lf.Rack, Factor: lf.Factor})
-	}
-	for _, af := range spec.AMFailures {
-		opts.AMFailures = append(opts.AMFailures, AMFailure{At: af.At, JobID: af.JobID})
-	}
-	for _, c := range spec.Corruptions {
-		opts.Corruptions = append(opts.Corruptions, Corruption{At: c.At, Machine: c.Machine})
+		Failures:       append([]Failure(nil), spec.Failures...),
+		LinkFaults:     append([]LinkFault(nil), spec.LinkFaults...),
+		AMFailures:     append([]AMFailure(nil), spec.AMFailures...),
+		Corruptions:    append([]Corruption(nil), spec.Corruptions...),
 	}
 	return opts, spec.Jobs, nil
 }

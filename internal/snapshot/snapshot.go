@@ -60,28 +60,41 @@ type Meta struct {
 	Label     string
 }
 
-// Failure mirrors runtime.Failure (kept here so the snapshot schema does
-// not depend on the runtime package).
+// Failure kills one machine at a point in simulated time. A positive
+// Downtime makes the failure transient: the machine recovers (slots and
+// disk) at At+Downtime. Zero means the machine never comes back.
+// runtime.Failure is this type.
 type Failure struct {
 	At       float64
 	Machine  int
 	Downtime float64
 }
 
-// LinkFault mirrors runtime.LinkFault.
+// LinkFault rescales one rack's uplink and downlink capacity at a point in
+// simulated time. Factor 1 restores the full topology capacity; 0 fails
+// the links outright (flows crossing them park until a later fault with a
+// positive factor). Faults for the same rack apply in time order; the
+// last one wins. runtime.LinkFault is this type.
 type LinkFault struct {
 	At     float64
 	Rack   int
 	Factor float64
 }
 
-// AMFailure mirrors runtime.AMFailure.
+// AMFailure kills job JobID's application master at a point in simulated
+// time. A failure while the job is unsubmitted, already terminal, or
+// already restarting is absorbed. runtime.AMFailure is this type.
 type AMFailure struct {
 	At    float64
 	JobID int
 }
 
-// Corruption mirrors runtime.Corruption.
+// Corruption silently corrupts one DFS block replica held on Machine at a
+// point in simulated time. The replica is chosen deterministically from
+// the runtime's seeded rng among blocks that keep at least one clean live
+// replica elsewhere (a scrubbed DFS never lets silent corruption eat the
+// last copy; modelling that would just wedge the read forever).
+// runtime.Corruption is this type.
 type Corruption struct {
 	At      float64
 	Machine int
@@ -99,10 +112,8 @@ type Spec struct {
 	// incremental max-min allocator, bit-identical to the grouped and
 	// reference allocators).
 	Policy string
-	// FlowEpoch batches flow-rate recomputations to multiples of this many
-	// simulated seconds (PR 9, additive). Pre-PR-9 snapshots decode this to
-	// zero — exact, unbatched recomputation — so old snapshots restore with
-	// unchanged semantics.
+	// FlowEpoch is always 0. It is kept so the v1 wire format stays
+	// byte-identical; the runtime rejects a Spec with any other value.
 	FlowEpoch float64
 	Seed      int64
 	Plan      *planner.Plan
