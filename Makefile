@@ -5,14 +5,14 @@
 GO ?= go
 
 .PHONY: check ci-local fast-gate build vet fmt-check test race corralvet \
-	chaos fuzz overload trace-determinism resume-determinism bench bench-compare \
+	chaos fuzz fuzz-native overload trace-determinism resume-determinism bench bench-compare \
 	scale scale-bench-compare scale-nightly perfbench-check
 
 check: build vet fmt-check test race chaos fuzz overload trace-determinism resume-determinism
 	@echo "check: all gates passed"
 
 # One target per CI job, in the workflow's job order.
-ci-local: fast-gate perfbench-check test trace-determinism resume-determinism race chaos fuzz overload bench-compare scale scale-bench-compare
+ci-local: fast-gate perfbench-check test trace-determinism resume-determinism race chaos fuzz fuzz-native overload bench-compare scale scale-bench-compare
 	@echo "ci-local: all CI jobs passed"
 
 fast-gate: build vet fmt-check
@@ -66,6 +66,14 @@ chaos:
 # every bundled crash rate, completion degrades monotonically).
 fuzz:
 	$(GO) test ./internal/experiments -run 'TestFuzz|TestAttritionSweep' -count=1 -v
+
+# Native fuzzing of the snapshot decoder: 20 s of coverage-guided
+# mutation from the committed snapshot files. Decode must never panic,
+# never return a snapshot with an error, and round-trip whatever it
+# accepts. A crasher lands in internal/snapshot/testdata/fuzz/FuzzDecode,
+# where `go test` replays it from then on.
+fuzz-native:
+	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s
 
 # Overload gate: at 4x the saturating arrival rate under a fault storm,
 # budgeted Corral (planner deadline budget + replan-storm suppression +

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"corral"
 )
 
 func TestValidateFlagCombos(t *testing.T) {
@@ -68,6 +70,28 @@ func TestValidateFlagCombos(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.wantErr)
+		}
+	}
+}
+
+func TestParseSize(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want corral.ExperimentSize
+		ok   bool
+	}{
+		{"s", corral.SizeSmall, true}, {"small", corral.SizeSmall, true},
+		{"m", corral.SizeMedium, true}, {"medium", corral.SizeMedium, true},
+		{"l", corral.SizeLarge, true}, {"large", corral.SizeLarge, true},
+		{"full", corral.SizeLarge, true},
+		{"", 0, false}, {"xl", 0, false},
+	} {
+		got, err := parseSize(tc.in)
+		if tc.ok && (err != nil || got != tc.want) {
+			t.Errorf("parseSize(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("parseSize(%q) did not error", tc.in)
 		}
 	}
 }

@@ -196,8 +196,8 @@ type Snapshot = snapshot.Snapshot
 // SimTime.
 type CheckpointTarget = runtime.CheckpointTarget
 
-// ResumeOptions reattaches the observer hooks (invariant probe, tracer,
-// repair callback) that a snapshot deliberately excludes.
+// ResumeOptions reattaches the observer hooks (invariant probe, tracer)
+// that a snapshot deliberately excludes.
 type ResumeOptions = runtime.ResumeOptions
 
 // SimulateWithSnapshots runs like Simulate but captures a snapshot at each

@@ -10,26 +10,25 @@ package runtime
 //
 //   - Task attempts crash with probability TaskFailureProb, rolled per
 //     attempt from the runtime's seeded rng. A crashed attempt counts
-//     against the task's attempt budget (MaxTaskAttempts, default 4) and
-//     re-enters the pending queues after a deterministic exponential
-//     backoff: RetryBackoff·2^(k−1) for the k-th crash. Exhausting the
+//     against the task's attempt budget (maxTaskAttempts) and re-enters
+//     the pending queues after a deterministic exponential backoff:
+//     retryBackoff·2^(k−1) for the k-th crash. Exhausting the
 //     budget fails the job terminally, as YARN does.
 //   - Every failed attempt also counts against its machine. A machine
-//     accumulating BlacklistThreshold failures is blacklisted: it keeps
+//     accumulating blacklistThreshold failures is blacklisted: it keeps
 //     its running work but receives no new attempts and is skipped by the
 //     dispatch heartbeat (so delay scheduling does not wait for it).
-//     After BlacklistCooldown it rejoins through the same
-//     OnMachineRepair hook transient machine recoveries use, with its
-//     failure count reset.
+//     After blacklistCooldown it rejoins the slot pool with its failure
+//     count reset.
 //   - AMFailures kill a job's application master: all running attempts
 //     are lost and the job stops scheduling until the resource manager
-//     relaunches it AMRestartDelay later. The restarted attempt reuses
+//     relaunches it amRestartDelay later. The restarted attempt reuses
 //     completed map outputs that survive on live machines and recomputes
 //     the rest; a stage that lost any map output rewinds to the map phase
 //     (the rack-aggregated shuffle cannot be partially re-fed). Rack
 //     commitments (allowedRacks, the plan assignment) survive restart —
 //     the plan is a property of the job, not of the AM attempt. The
-//     MaxAMAttempts-th failure is terminal.
+//     maxAMAttempts-th failure is terminal.
 //   - Corruptions flip one replica on a machine to corrupt in the DFS.
 //     Detection is read-driven (checksums): replicaClosest skips corrupt
 //     copies and hands the block to the repair daemon, whose traffic is
@@ -121,12 +120,12 @@ func (rt *runtime) crashAttempt(tk *runningTask) {
 		attempts = tk.redT.attempts
 	}
 	rt.noteAttemptFailure(tk.machine)
-	if attempts >= rt.opts.MaxTaskAttempts {
+	if attempts >= maxTaskAttempts {
 		rt.abortTask(tk, true, -1)
-		rt.failJob(je, fmt.Sprintf("task attempt budget (%d) exhausted", rt.opts.MaxTaskAttempts))
+		rt.failJob(je, fmt.Sprintf("task attempt budget (%d) exhausted", maxTaskAttempts))
 		return
 	}
-	backoff := rt.opts.RetryBackoff * math.Pow(2, float64(attempts-1))
+	backoff := retryBackoff * math.Pow(2, float64(attempts-1))
 	rt.tr.TaskBackoff(float64(rt.sim.Now()), role, je.job.ID, tk.st.idx, idx, attempts, backoff)
 	rt.abortTask(tk, true, des.Time(backoff))
 }
@@ -134,21 +133,17 @@ func (rt *runtime) crashAttempt(tk *runningTask) {
 // noteAttemptFailure charges a failed attempt to its machine and
 // blacklists it at the threshold.
 func (rt *runtime) noteAttemptFailure(m int) {
-	if rt.opts.BlacklistThreshold < 0 {
-		return
-	}
 	rt.machineFailures[m]++
-	if rt.blacklisted[m] || rt.dead[m] || rt.machineFailures[m] < rt.opts.BlacklistThreshold {
+	if rt.blacklisted[m] || rt.dead[m] || rt.machineFailures[m] < blacklistThreshold {
 		return
 	}
 	rt.blacklisted[m] = true
 	rt.probe(invariants.Blacklist, m, -1)
 	rt.tr.Blacklist(float64(rt.sim.Now()), m)
-	rt.sim.After(des.Time(rt.opts.BlacklistCooldown), func() { rt.unblacklist(m) })
+	rt.sim.After(des.Time(blacklistCooldown), func() { rt.unblacklist(m) })
 }
 
-// unblacklist returns a machine to the slot pool after its cooldown,
-// through the same repair hook transient machine recoveries use.
+// unblacklist returns a machine to the slot pool after its cooldown.
 func (rt *runtime) unblacklist(m int) {
 	if !rt.blacklisted[m] {
 		return
@@ -158,12 +153,9 @@ func (rt *runtime) unblacklist(m int) {
 	rt.probe(invariants.Unblacklist, m, -1)
 	rt.tr.Unblacklist(float64(rt.sim.Now()), m)
 	if rt.dead[m] {
-		// Died during the cooldown: recoverMachine re-admits it (and
-		// fires the repair hook) if the failure was transient.
+		// Died during the cooldown: recoverMachine re-admits it if the
+		// failure was transient.
 		return
-	}
-	if rt.opts.OnMachineRepair != nil {
-		rt.opts.OnMachineRepair(m, float64(rt.sim.Now()))
 	}
 	rt.requestDispatch()
 }
@@ -218,14 +210,14 @@ func (rt *runtime) failAM(jobID int) {
 	rt.probe(invariants.AMFail, -1, jobID)
 	rt.tr.AMFail(float64(rt.sim.Now()), jobID)
 	je.amFailures++
-	if je.amFailures >= rt.opts.MaxAMAttempts {
-		rt.failJob(je, fmt.Sprintf("AM attempt budget (%d) exhausted", rt.opts.MaxAMAttempts))
+	if je.amFailures >= maxAMAttempts {
+		rt.failJob(je, fmt.Sprintf("AM attempt budget (%d) exhausted", maxAMAttempts))
 		return
 	}
 	je.amDown = true
 	je.amAttempt++ // voids backoff requeues armed under the dead AM
 	rt.abortJobAttempts(je)
-	rt.sim.After(des.Time(rt.opts.AMRestartDelay), func() { rt.restartJob(je) })
+	rt.sim.After(des.Time(amRestartDelay), func() { rt.restartJob(je) })
 }
 
 // restartJob relaunches a job's application master: stages are rebuilt
@@ -352,9 +344,6 @@ func (rt *runtime) applyCorruption(c Corruption) {
 // a corrupt replica reports the block to the re-replication daemon, which
 // copies a clean replica over the bad one (repair.go).
 func (rt *runtime) detectCorruption(b *dfs.Block) {
-	if rt.opts.DisableReReplication {
-		return
-	}
 	rt.scheduleRepairs([]*dfs.Block{b})
 }
 

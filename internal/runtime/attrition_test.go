@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,10 +12,12 @@ import (
 )
 
 // countingProbe forwards events to an invariant monitor while counting
-// per-kind occurrences, so tests can assert lifecycle behaviour.
+// per-kind occurrences and logging every event, so tests can assert
+// lifecycle behaviour.
 type countingProbe struct {
-	mon   *invariants.Monitor
-	kinds map[invariants.Kind]int
+	mon    *invariants.Monitor
+	kinds  map[invariants.Kind]int
+	events []invariants.Event
 }
 
 func newCountingProbe(machines, slots int) *countingProbe {
@@ -25,17 +29,16 @@ func newCountingProbe(machines, slots int) *countingProbe {
 
 func (p *countingProbe) Observe(e invariants.Event) {
 	p.kinds[e.Kind]++
+	p.events = append(p.events, e)
 	p.mon.Observe(e)
 }
 
 func attritionOpts(seed int64) Options {
 	return Options{
-		Topology:          smallTopo(),
-		BlockSize:         64e6,
-		Seed:              seed,
-		TaskFailureProb:   0.25,
-		RetryBackoff:      0.5,
-		BlacklistCooldown: 10,
+		Topology:        smallTopo(),
+		BlockSize:       64e6,
+		Seed:            seed,
+		TaskFailureProb: 0.25,
 	}
 }
 
@@ -111,15 +114,14 @@ func TestAttemptBudgetFailsJob(t *testing.T) {
 	probe := newCountingProbe(topo.Machines(), topo.SlotsPerMachine)
 	opts := attritionOpts(5)
 	opts.TaskFailureProb = 1 // every attempt crashes
-	opts.MaxTaskAttempts = 3
 	opts.Probe = probe
 	res := mustRun(t, opts, []*job.Job{shuffleJob(1)})
 	jr := res.Jobs[0]
 	if !jr.Failed || res.FailedJobs != 1 {
 		t.Fatalf("failed=%v failedJobs=%d, want terminal failure", jr.Failed, res.FailedJobs)
 	}
-	if !strings.Contains(jr.FailReason, "task attempt budget") {
-		t.Fatalf("FailReason = %q, want attempt-budget failure", jr.FailReason)
+	if want := fmt.Sprintf("task attempt budget (%d)", maxTaskAttempts); !strings.Contains(jr.FailReason, want) {
+		t.Fatalf("FailReason = %q, want %q", jr.FailReason, want)
 	}
 	if n := probe.mon.ViolationCount(); n != 0 {
 		t.Fatalf("terminal job failure raised %d violations: %v", n, probe.mon.Violations())
@@ -127,31 +129,38 @@ func TestAttemptBudgetFailsJob(t *testing.T) {
 }
 
 // Machines that accumulate failures must be blacklisted out of the slot
-// pool and re-admitted through the repair hook after the cooldown.
+// pool and re-admitted exactly blacklistCooldown seconds later.
 func TestBlacklistingAndRejoin(t *testing.T) {
 	topo := smallTopo()
 	probe := newCountingProbe(topo.Machines(), topo.SlotsPerMachine)
-	var repaired []int
 	opts := attritionOpts(11)
-	opts.TaskFailureProb = 0.5
-	opts.BlacklistThreshold = 2
-	opts.BlacklistCooldown = 5
 	opts.Probe = probe
-	opts.OnMachineRepair = func(m int, at float64) { repaired = append(repaired, m) }
-	res := mustRun(t, opts, []*job.Job{shuffleJob(1), shuffleJob(2)})
+	// Four jobs give a machine enough attempts to reach blacklistThreshold
+	// failures at the 25% crash rate.
+	res := mustRun(t, opts, []*job.Job{shuffleJob(1), shuffleJob(2), shuffleJob(3), shuffleJob(4)})
 	if res.FailedJobs != 0 {
 		t.Fatalf("%d jobs failed; want all complete despite blacklisting", res.FailedJobs)
 	}
 	bl := probe.kinds[invariants.Blacklist]
 	if bl == 0 {
-		t.Fatal("no machine was blacklisted at threshold 2 with 50% crashes (vacuous test)")
+		t.Fatal("no machine was blacklisted (vacuous test)")
 	}
 	if probe.kinds[invariants.Unblacklist] != bl {
 		t.Fatalf("blacklist/unblacklist events %d/%d, want pairs",
 			bl, probe.kinds[invariants.Unblacklist])
 	}
-	if len(repaired) != bl {
-		t.Fatalf("repair hook fired %d times for %d blacklistings", len(repaired), bl)
+	since := map[int]float64{}
+	for _, e := range probe.events {
+		switch e.Kind {
+		case invariants.Blacklist:
+			since[e.Machine] = e.Time
+		case invariants.Unblacklist:
+			if at, ok := since[e.Machine]; !ok || math.Abs(e.Time-at-blacklistCooldown) > 1e-9 {
+				t.Fatalf("machine %d rejoined at %g, blacklisted at %g (ok=%v); want %g s later",
+					e.Machine, e.Time, at, ok, blacklistCooldown)
+			}
+			delete(since, e.Machine)
+		}
 	}
 	if n := probe.mon.ViolationCount(); n != 0 {
 		t.Fatalf("blacklisting run raised %d violations: %v", n, probe.mon.Violations())
@@ -201,14 +210,17 @@ func TestAMRestartCompletes(t *testing.T) {
 	}
 }
 
-// The MaxAMAttempts-th AM failure is terminal.
+// The maxAMAttempts-th AM failure is terminal; each failure lands after
+// the previous restart (amRestartDelay later), while the job still runs.
 func TestAMBudgetFailsJob(t *testing.T) {
-	opts := Options{Topology: smallTopo(), BlockSize: 64e6, Seed: 17, MaxAMAttempts: 2, AMRestartDelay: 0.3}
-	opts.AMFailures = []AMFailure{{At: 0.2, JobID: 1}, {At: 0.8, JobID: 1}}
+	opts := Options{Topology: smallTopo(), BlockSize: 64e6, Seed: 17}
+	for k := 0; k < maxAMAttempts; k++ {
+		opts.AMFailures = append(opts.AMFailures, AMFailure{At: 0.2 + float64(k)*(amRestartDelay+0.5), JobID: 1})
+	}
 	res := mustRun(t, opts, []*job.Job{shuffleJob(1)})
 	jr := res.Jobs[0]
-	if !jr.Failed || !strings.Contains(jr.FailReason, "AM attempt budget") {
-		t.Fatalf("failed=%v reason=%q, want AM-budget failure", jr.Failed, jr.FailReason)
+	if want := fmt.Sprintf("AM attempt budget (%d)", maxAMAttempts); !jr.Failed || !strings.Contains(jr.FailReason, want) {
+		t.Fatalf("failed=%v reason=%q, want %q", jr.Failed, jr.FailReason, want)
 	}
 }
 

@@ -38,7 +38,7 @@ type jobExec struct {
 	// amDown suspends scheduling while the application master is being
 	// restarted; amAttempt is a generation counter that invalidates backoff
 	// requeues armed under a previous AM incarnation. amFailures counts AM
-	// crashes against Options.MaxAMAttempts.
+	// crashes against maxAMAttempts.
 	amDown     bool
 	amAttempt  int
 	amFailures int
@@ -146,7 +146,7 @@ type mapTask struct {
 	// speculated marks a task whose attempt was killed by the speculation
 	// watchdog: the relaunch runs at nominal speed with no watchdog.
 	speculated bool
-	// attempts counts crashed attempts against Options.MaxTaskAttempts.
+	// attempts counts crashed attempts against maxTaskAttempts.
 	attempts int
 	// doneOn records the machine of the completed attempt (-1 while
 	// pending); AM restart reuses outputs whose machine is still alive.
@@ -521,7 +521,7 @@ func (rt *runtime) runReduce(st *stageExec, rT *reduceTask, m int) {
 	write := func() {
 		tk.endCompute()
 		outBytes := p.OutputBytes / float64(p.ReduceTasks)
-		if outBytes <= 0 || !rt.isTerminal(st) || rt.opts.OutputReplication <= 1 {
+		if outBytes <= 0 || !rt.isTerminal(st) || rt.opts.InMemoryInput {
 			finish()
 			return
 		}
@@ -616,15 +616,9 @@ func (rt *runtime) writeOutput(tk *runningTask, coflow netsim.CoflowID, m int, b
 	tk.flow(rt, func(cb func(*netsim.Flow)) *netsim.Flow {
 		return rt.net.Start(m, r2, bytes, coflow, je.job.ID, cb)
 	}, flowDone)
-	if rt.opts.OutputReplication >= 3 {
-		tk.flow(rt, func(cb func(*netsim.Flow)) *netsim.Flow {
-			return rt.net.Start(r2, r3, bytes, coflow, je.job.ID, cb)
-		}, flowDone)
-	} else {
-		tk.flow(rt, func(cb func(*netsim.Flow)) *netsim.Flow {
-			return rt.net.Start(m, m, 0, 0, je.job.ID, cb)
-		}, flowDone)
-	}
+	tk.flow(rt, func(cb func(*netsim.Flow)) *netsim.Flow {
+		return rt.net.Start(r2, r3, bytes, coflow, je.job.ID, cb)
+	}, flowDone)
 }
 
 // pickRemoteRack returns a uniformly random rack != myRack, deterministic-

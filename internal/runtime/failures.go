@@ -298,9 +298,6 @@ func (rt *runtime) recoverMachine(m int) {
 	rt.freeSlots[m] = rt.cluster.Config.SlotsPerMachine
 	rt.recoverAt[m] = math.Inf(1)
 	rt.store.MachineUp(m)
-	if rt.opts.OnMachineRepair != nil {
-		rt.opts.OnMachineRepair(m, float64(rt.sim.Now()))
-	}
 	rt.requestDispatch()
 }
 

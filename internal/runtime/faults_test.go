@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"corral/internal/dfs"
+	"corral/internal/invariants"
 	"corral/internal/job"
 	"corral/internal/planner"
 )
@@ -192,21 +193,26 @@ func TestRackMajorityLossMidShuffle(t *testing.T) {
 
 func TestTransientFailureRecovers(t *testing.T) {
 	topo := smallTopo()
-	var recovered []float64
+	probe := newCountingProbe(topo.Machines(), topo.SlotsPerMachine)
 	res := mustRun(t, Options{
 		Topology: topo, BlockSize: 64e6, Seed: 35,
 		Failures: []Failure{{At: 0.5, Machine: 0, Downtime: 2}},
-		OnMachineRepair: func(m int, at float64) {
-			if m == 0 {
-				recovered = append(recovered, at)
-			}
-		},
+		Probe:    probe,
 	}, []*job.Job{shuffleJob(1)})
 	if res.Jobs[0].CompletionTime <= 0 {
 		t.Fatal("job did not complete across a transient failure")
 	}
+	var recovered []float64
+	for _, e := range probe.events {
+		if e.Kind == invariants.MachineUp && e.Machine == 0 {
+			recovered = append(recovered, e.Time)
+		}
+	}
 	if len(recovered) != 1 || math.Abs(recovered[0]-2.5) > 1e-9 {
-		t.Fatalf("recovery hook calls = %v, want one at t=2.5", recovered)
+		t.Fatalf("machine 0 recoveries = %v, want one at t=2.5", recovered)
+	}
+	if n := probe.mon.ViolationCount(); n != 0 {
+		t.Fatalf("transient failure raised %d violations: %v", n, probe.mon.Violations())
 	}
 }
 

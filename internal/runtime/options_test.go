@@ -13,7 +13,7 @@ import (
 // omits: the policy instance (recorded by name) and the observer hooks a
 // resumer reattaches.
 var unserializedOptions = map[string]bool{
-	"Network": true, "Probe": true, "Trace": true, "OnMachineRepair": true,
+	"Network": true, "Probe": true, "Trace": true,
 }
 
 // fillDistinct sets every leaf under v to a distinct non-zero value drawn
@@ -104,6 +104,10 @@ func TestResumeRejectsBadSpec(t *testing.T) {
 	}{
 		{"flow epoch", func(s *snapshot.Spec) { s.FlowEpoch = 0.5 }, "FlowEpoch"},
 		{"unknown policy", func(s *snapshot.Spec) { s.Policy = "bogus" }, "bogus"},
+		{"heartbeat", func(s *snapshot.Spec) { s.Heartbeat = 2 }, "Heartbeat"},
+		{"in-memory replication", func(s *snapshot.Spec) { s.InMemoryInput, s.OutputReplication = true, 3 }, "OutputReplication"},
+		{"re-replication off", func(s *snapshot.Spec) { s.DisableReReplication = true }, "DisableReReplication"},
+		{"attempt budget", func(s *snapshot.Spec) { s.MaxTaskAttempts = 7 }, "MaxTaskAttempts"},
 	} {
 		snap, err := CaptureAt(snapOpts(7), snapJobs(), CheckpointTarget{EventIndex: 50})
 		if err != nil {

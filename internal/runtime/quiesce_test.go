@@ -38,15 +38,4 @@ func TestQuiesceTimeFoldsRepairTail(t *testing.T) {
 		t.Fatalf("QuiesceTime %g does not cover the repair tail after the failure at %g",
 			res.QuiesceTime, late)
 	}
-
-	// With the repair daemon off the tail disappears again.
-	off := mustRun(t, Options{
-		Topology: topo, BlockSize: 64e6, Seed: 61,
-		Failures:             []Failure{{At: late, Machine: 0}},
-		DisableReReplication: true,
-	}, mk())
-	if off.QuiesceTime != off.Makespan {
-		t.Fatalf("repairs disabled, yet QuiesceTime %g != Makespan %g",
-			off.QuiesceTime, off.Makespan)
-	}
 }

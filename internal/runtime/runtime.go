@@ -77,6 +77,50 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("runtime: unknown scheduler %q", s)
 }
 
+// Substrate constants. The paper runs Corral on a stock YARN resource
+// manager and HDFS (§5); these are their fixed behaviours, which no
+// experiment varies; HDFS re-replication (repair.go) is likewise always
+// on. Snapshot Specs still record them (buildSpec), so the v1 wire format
+// is unchanged and Resume rejects a Spec that disagrees.
+const (
+	// outputReplicas is the DFS replication of terminal stage outputs: one
+	// local replica plus two on a remote rack. InMemoryInput writes none
+	// through the pipeline (a replication of 1).
+	outputReplicas = 3
+	// heartbeat is the scheduler retry interval in seconds when jobs
+	// decline slots waiting for locality (the delay-scheduling "wait").
+	heartbeat = 1.0
+	// adhocShare is the capacity-scheduler queue share for ad-hoc jobs
+	// under the plan-driven schedulers: when the ad-hoc queue is running
+	// less than this fraction of all busy slots, a freed slot is offered
+	// to ad-hoc jobs first (work-conserving both ways). Yarn-CS and
+	// ShuffleWatcher have a single FIFO queue.
+	adhocShare = 0.5
+	// maxTaskAttempts is the per-task attempt budget (YARN's
+	// mapreduce.map/reduce.maxattempts): a task that crashes this many
+	// times fails its job terminally (JobResult.Failed).
+	maxTaskAttempts = 4
+	// retryBackoff is the base retry delay in seconds: a task's k-th crash
+	// waits retryBackoff·2^(k−1) before the task re-enters the pending
+	// queues.
+	retryBackoff = 1.0
+	// blacklistThreshold is how many failed attempts a machine accumulates
+	// before it is blacklisted out of the slot pool and delay-scheduling
+	// consideration (YARN's node-blacklisting threshold); it sits out
+	// blacklistCooldown seconds and rejoins with its count reset.
+	blacklistThreshold = 3
+	blacklistCooldown  = 30.0
+	// maxAMAttempts caps application-master attempts per job (YARN's
+	// yarn.resourcemanager.am.max-attempts): the maxAMAttempts-th AM
+	// failure fails the job terminally. amRestartDelay is the resource
+	// manager's relaunch delay in seconds before the restarted attempt.
+	maxAMAttempts  = 2
+	amRestartDelay = 5.0
+	// maxReplansPerWindow caps immediate replans per storm-suppression
+	// window (Options.ReplanWindow).
+	maxReplansPerWindow = 1
+)
+
 // Options configures one simulated run.
 type Options struct {
 	Topology topology.Config
@@ -95,12 +139,6 @@ type Options struct {
 	// the cluster size.
 	DelayNodeLocal int
 	DelayRackLocal int
-	// OutputReplication for terminal stage outputs (default 3: one local
-	// replica plus two on a remote rack).
-	OutputReplication int
-	// Heartbeat is the scheduler retry interval when jobs decline slots
-	// waiting for locality (the delay-scheduling "wait"). Default 1s.
-	Heartbeat float64
 	// Failures kills machines at points in simulated time: running tasks
 	// on a failed machine are aborted and re-executed elsewhere, and
 	// planned jobs whose rack sets lose a majority of machines fall back
@@ -117,15 +155,6 @@ type Options struct {
 	// failure), with commitments for unaffected running jobs, instead of
 	// only dropping the affected job's constraints (replan.go).
 	ReplanOnFailure bool
-	// DisableReReplication turns off the DFS repair daemon that re-creates
-	// replicas lost to machine failures (repair.go). Repairs are on by
-	// default because HDFS re-replication is part of the paper's assumed
-	// substrate (§2).
-	DisableReReplication bool
-	// OnMachineRepair, if set, is invoked when a transiently failed
-	// machine recovers — a hook for experiments that track repair events.
-	// It runs inside the simulation; it must be deterministic.
-	OnMachineRepair func(machine int, at float64)
 	// StragglerFraction is the probability that a task's compute phase is
 	// a straggler, running StragglerSlowdown (default 6) times slower —
 	// the "outliers" of §3.3. Zero disables injection.
@@ -136,12 +165,6 @@ type Options struct {
 	// expected duration is relaunched.
 	Speculation          bool
 	SpeculationThreshold float64
-	// AdhocShare is the capacity-scheduler queue share for ad-hoc jobs
-	// under the plan-driven schedulers: when the ad-hoc queue is running
-	// less than this fraction of all busy slots, a freed slot is offered
-	// to ad-hoc jobs first (work-conserving both ways). Default 0.5.
-	// Yarn-CS and ShuffleWatcher ignore it (single FIFO queue).
-	AdhocShare float64
 	// FailedMachines are dead from time zero: no slots, and DFS replicas
 	// on them are unreadable. If more than half the machines of a planned
 	// job's rack set are dead, Corral drops the job's placement
@@ -164,37 +187,12 @@ type Options struct {
 	// requeued after a deterministic exponential backoff. Zero disables
 	// injection.
 	TaskFailureProb float64
-	// MaxTaskAttempts is the per-task attempt budget (default 4, YARN's
-	// mapreduce.map/reduce.maxattempts). A task that crashes this many
-	// times fails its job terminally (JobResult.Failed).
-	MaxTaskAttempts int
-	// RetryBackoff is the base retry delay in seconds (default 1): a
-	// task's k-th crash waits RetryBackoff·2^(k−1) before the task
-	// re-enters the pending queues.
-	RetryBackoff float64
-	// BlacklistThreshold is how many failed attempts a machine accumulates
-	// before it is blacklisted out of the slot pool and delay-scheduling
-	// consideration (default 3, YARN's node-blacklisting threshold;
-	// negative disables blacklisting).
-	BlacklistThreshold int
-	// BlacklistCooldown is how long in seconds a blacklisted machine sits
-	// out (default 30). It rejoins with its failure count reset, via the
-	// OnMachineRepair hook — the same path transient machine recoveries
-	// take.
-	BlacklistCooldown float64
 	// AMFailures kills job application masters at points in simulated
 	// time. The job's running attempts are lost; a restarted AM attempt
-	// (capped by MaxAMAttempts) reuses completed map outputs that survive
+	// (capped at maxAMAttempts) reuses completed map outputs that survive
 	// on live machines and recomputes the rest, preserving the plan's rack
 	// commitments.
 	AMFailures []AMFailure
-	// MaxAMAttempts caps application-master attempts per job (default 2,
-	// YARN's yarn.resourcemanager.am.max-attempts): the MaxAMAttempts-th
-	// AM failure fails the job terminally.
-	MaxAMAttempts int
-	// AMRestartDelay is the resource-manager relaunch delay in seconds
-	// between an AM failure and the restarted attempt (default 5).
-	AMRestartDelay float64
 	// Corruptions silently corrupt one DFS block replica on a machine at a
 	// simulated time. Reads checksum-detect corruption, fail over to the
 	// next-closest clean replica, and hand the bad replica to the
@@ -214,14 +212,11 @@ type Options struct {
 	PlannerBudget float64
 	// ReplanWindow enables replan-storm suppression: fault bursts within a
 	// debounce window of this many simulated seconds are coalesced, with
-	// at most MaxReplansPerWindow immediate replans per window and an
+	// at most maxReplansPerWindow immediate replans per window and an
 	// exponential cooldown (window length doubles, capped at 8×, while
 	// bursts keep saturating it). Excess requests collapse into a single
 	// pending replan at the window's end. Zero disables suppression.
 	ReplanWindow float64
-	// MaxReplansPerWindow caps immediate replans per suppression window
-	// (default 1 when ReplanWindow > 0; meaningless without it).
-	MaxReplansPerWindow int
 	// AdmissionLimit enables streaming-arrival admission control: at most
 	// this many admitted jobs may be in flight at once. Excess arrivals
 	// wait in a bounded FIFO admission queue (Result.Deferred) and are
@@ -379,7 +374,7 @@ type runtime struct {
 
 	// Attrition state: blacklisted machines keep their slots but receive
 	// no new attempts until the cooldown expires; machineFailures counts
-	// failed attempts per machine toward BlacklistThreshold.
+	// failed attempts per machine toward blacklistThreshold.
 	blacklisted     []bool
 	machineFailures []int
 	failedJobs      int
@@ -444,9 +439,6 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.OutputReplication == 0 {
-		opts.OutputReplication = 3
-	}
 	m := cluster.Config.Machines()
 	if opts.DelayNodeLocal == 0 {
 		opts.DelayNodeLocal = m
@@ -454,35 +446,11 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	if opts.DelayRackLocal == 0 {
 		opts.DelayRackLocal = 2 * m
 	}
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = 1
-	}
-	if opts.AdhocShare <= 0 || opts.AdhocShare >= 1 {
-		opts.AdhocShare = 0.5
-	}
 	if opts.StragglerSlowdown <= 1 {
 		opts.StragglerSlowdown = 6
 	}
 	if opts.SpeculationThreshold <= 1 {
 		opts.SpeculationThreshold = 2
-	}
-	if opts.MaxTaskAttempts <= 0 {
-		opts.MaxTaskAttempts = 4
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = 1
-	}
-	if opts.BlacklistThreshold == 0 {
-		opts.BlacklistThreshold = 3
-	}
-	if opts.BlacklistCooldown <= 0 {
-		opts.BlacklistCooldown = 30
-	}
-	if opts.MaxAMAttempts <= 0 {
-		opts.MaxAMAttempts = 2
-	}
-	if opts.AMRestartDelay <= 0 {
-		opts.AMRestartDelay = 5
 	}
 	if err := validateFailures(opts.Failures, cluster.Config.Machines()); err != nil {
 		return nil, err
@@ -496,11 +464,8 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	if err := validateOverload(opts); err != nil {
 		return nil, err
 	}
-	// Resolve overload defaults before buildSpec records the options, so a
-	// resumed run re-applies them idempotently (like Heartbeat above).
-	if opts.ReplanWindow > 0 && opts.MaxReplansPerWindow <= 0 {
-		opts.MaxReplansPerWindow = 1
-	}
+	// Resolve defaults before buildSpec records the options, so a resumed
+	// run re-applies them idempotently.
 	if opts.AdmissionLimit > 0 && opts.AdmissionQueueCap <= 0 {
 		opts.AdmissionQueueCap = 4 * opts.AdmissionLimit
 	}
@@ -508,9 +473,6 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 		if _, ok := cluster.StorageLink(); !ok {
 			return nil, fmt.Errorf("runtime: RemoteStorageInput requires Topology.RemoteStorageBandwidth > 0")
 		}
-	}
-	if opts.InMemoryInput {
-		opts.OutputReplication = 1
 	}
 	// Default to the incremental fast-path allocator: bit-identical rates
 	// to MaxMinFair and GroupedMaxMin (see netsim/incremental.go) but

@@ -16,10 +16,9 @@ package runtime
 // run's trace byte for byte, which is what the crash-resume equivalence
 // harness (internal/experiments/resume.go) asserts.
 //
-// Observer attachments (Probe, Trace, OnMachineRepair) are never part of
-// a snapshot: tracing and probing must not perturb a run, so they must
-// not perturb a snapshot either. Resumers reattach them via
-// ResumeOptions.
+// Observer attachments (Probe, Trace) are never part of a snapshot:
+// tracing and probing must not perturb a run, so they must not perturb a
+// snapshot either. Resumers reattach them via ResumeOptions.
 
 import (
 	"fmt"
@@ -80,9 +79,8 @@ func (t CheckpointTarget) String() string {
 // ResumeOptions reattaches the observer hooks a snapshot deliberately
 // excludes.
 type ResumeOptions struct {
-	Probe           invariants.Probe
-	Trace           *trace.Tracer
-	OnMachineRepair func(machine int, at float64)
+	Probe invariants.Probe
+	Trace *trace.Tracer
 }
 
 // RunWithSnapshots runs like Run but captures a snapshot at each target,
@@ -179,10 +177,22 @@ func Resume(snap *snapshot.Snapshot, ro ResumeOptions) (*Result, error) {
 	}
 	opts.Probe = ro.Probe
 	opts.Trace = ro.Trace
-	opts.OnMachineRepair = ro.OnMachineRepair
 	rt, err := newRuntime(opts, jobs)
 	if err != nil {
 		return nil, err
+	}
+	// The Spec must be exactly what this build records for the run it
+	// derives from it, so a substrate constant set to another value or a
+	// non-zero FlowEpoch fails here rather than replaying a different run.
+	// Policy was checked by policyByName instead, since the max-min names
+	// deliberately alias one allocator.
+	spec, err := rt.buildSpec()
+	if err != nil {
+		return nil, err
+	}
+	spec.Policy = snap.Spec.Policy
+	if diffs := snapshot.DiffSpecs(&spec, &snap.Spec); len(diffs) > 0 {
+		return nil, fmt.Errorf("runtime: snapshot spec differs from the one this build records for it in %d field(s) (this build vs snapshot): %s", len(diffs), diffs[0])
 	}
 	rt.start()
 	for rt.sim.Fired() < snap.Meta.EventIndex {
@@ -211,13 +221,17 @@ func Resume(snap *snapshot.Snapshot, ro ResumeOptions) (*Result, error) {
 	return rt.finish()
 }
 
-// buildSpec serializes the run's full input. It fails on inputs that
-// cannot round-trip: a custom network policy instance or a live
-// OnMachineRepair hook.
+// buildSpec serializes the run's full input, the substrate constants
+// included. It fails on a custom network policy instance, which cannot
+// round-trip.
 func (rt *runtime) buildSpec() (snapshot.Spec, error) {
 	o := rt.opts
-	if o.OnMachineRepair != nil {
-		return snapshot.Spec{}, fmt.Errorf("runtime: cannot snapshot a run with an OnMachineRepair hook (closures do not serialize; reattach it via ResumeOptions)")
+	outRep, maxReplans := outputReplicas, 0
+	if o.InMemoryInput {
+		outRep = 1
+	}
+	if o.ReplanWindow > 0 {
+		maxReplans = maxReplansPerWindow
 	}
 	policy := ""
 	if o.Network != nil {
@@ -236,28 +250,27 @@ func (rt *runtime) buildSpec() (snapshot.Spec, error) {
 		BlockSize:            o.BlockSize,
 		DelayNodeLocal:       o.DelayNodeLocal,
 		DelayRackLocal:       o.DelayRackLocal,
-		OutputReplication:    o.OutputReplication,
-		Heartbeat:            o.Heartbeat,
+		OutputReplication:    outRep,
+		Heartbeat:            heartbeat,
 		ReplanOnFailure:      o.ReplanOnFailure,
-		DisableReReplication: o.DisableReReplication,
 		StragglerFraction:    o.StragglerFraction,
 		StragglerSlowdown:    o.StragglerSlowdown,
 		Speculation:          o.Speculation,
 		SpeculationThreshold: o.SpeculationThreshold,
-		AdhocShare:           o.AdhocShare,
+		AdhocShare:           adhocShare,
 		RemoteStorageInput:   o.RemoteStorageInput,
 		InMemoryInput:        o.InMemoryInput,
 		TaskFailureProb:      o.TaskFailureProb,
-		MaxTaskAttempts:      o.MaxTaskAttempts,
-		RetryBackoff:         o.RetryBackoff,
-		BlacklistThreshold:   o.BlacklistThreshold,
-		BlacklistCooldown:    o.BlacklistCooldown,
-		MaxAMAttempts:        o.MaxAMAttempts,
-		AMRestartDelay:       o.AMRestartDelay,
+		MaxTaskAttempts:      maxTaskAttempts,
+		RetryBackoff:         retryBackoff,
+		BlacklistThreshold:   blacklistThreshold,
+		BlacklistCooldown:    blacklistCooldown,
+		MaxAMAttempts:        maxAMAttempts,
+		AMRestartDelay:       amRestartDelay,
 
 		PlannerBudget:       o.PlannerBudget,
 		ReplanWindow:        o.ReplanWindow,
-		MaxReplansPerWindow: o.MaxReplansPerWindow,
+		MaxReplansPerWindow: maxReplans,
 		AdmissionLimit:      o.AdmissionLimit,
 		AdmissionQueueCap:   o.AdmissionQueueCap,
 
@@ -292,7 +305,9 @@ func policyByName(name string) (netsim.Policy, error) {
 	return nil, fmt.Errorf("runtime: unknown network policy %q in snapshot spec", name)
 }
 
-// optionsFromSpec rebuilds the run input a snapshot's Spec records.
+// optionsFromSpec rebuilds the run input a snapshot's Spec records. The
+// fields that pin substrate constants are never read: Resume checks them
+// against the Spec it rebuilds.
 func optionsFromSpec(spec *snapshot.Spec) (Options, []*job.Job, error) {
 	kind, err := ParseKind(spec.Scheduler)
 	if err != nil {
@@ -301,9 +316,6 @@ func optionsFromSpec(spec *snapshot.Spec) (Options, []*job.Job, error) {
 	policy, err := policyByName(spec.Policy)
 	if err != nil {
 		return Options{}, nil, err
-	}
-	if spec.FlowEpoch != 0 {
-		return Options{}, nil, fmt.Errorf("runtime: snapshot spec sets FlowEpoch %g; flow-epoch batching is not supported", spec.FlowEpoch)
 	}
 	opts := Options{
 		Topology:  spec.Topology,
@@ -315,30 +327,19 @@ func optionsFromSpec(spec *snapshot.Spec) (Options, []*job.Job, error) {
 		BlockSize:            spec.BlockSize,
 		DelayNodeLocal:       spec.DelayNodeLocal,
 		DelayRackLocal:       spec.DelayRackLocal,
-		OutputReplication:    spec.OutputReplication,
-		Heartbeat:            spec.Heartbeat,
 		ReplanOnFailure:      spec.ReplanOnFailure,
-		DisableReReplication: spec.DisableReReplication,
 		StragglerFraction:    spec.StragglerFraction,
 		StragglerSlowdown:    spec.StragglerSlowdown,
 		Speculation:          spec.Speculation,
 		SpeculationThreshold: spec.SpeculationThreshold,
-		AdhocShare:           spec.AdhocShare,
 		RemoteStorageInput:   spec.RemoteStorageInput,
 		InMemoryInput:        spec.InMemoryInput,
 		TaskFailureProb:      spec.TaskFailureProb,
-		MaxTaskAttempts:      spec.MaxTaskAttempts,
-		RetryBackoff:         spec.RetryBackoff,
-		BlacklistThreshold:   spec.BlacklistThreshold,
-		BlacklistCooldown:    spec.BlacklistCooldown,
-		MaxAMAttempts:        spec.MaxAMAttempts,
-		AMRestartDelay:       spec.AMRestartDelay,
 
-		PlannerBudget:       spec.PlannerBudget,
-		ReplanWindow:        spec.ReplanWindow,
-		MaxReplansPerWindow: spec.MaxReplansPerWindow,
-		AdmissionLimit:      spec.AdmissionLimit,
-		AdmissionQueueCap:   spec.AdmissionQueueCap,
+		PlannerBudget:     spec.PlannerBudget,
+		ReplanWindow:      spec.ReplanWindow,
+		AdmissionLimit:    spec.AdmissionLimit,
+		AdmissionQueueCap: spec.AdmissionQueueCap,
 
 		FailedMachines: append([]int(nil), spec.FailedMachines...),
 		Failures:       append([]Failure(nil), spec.Failures...),

@@ -20,8 +20,6 @@ func snapOpts(seed int64) Options {
 		BlockSize:         64e6,
 		Seed:              seed,
 		TaskFailureProb:   0.1,
-		RetryBackoff:      0.5,
-		BlacklistCooldown: 10,
 		StragglerFraction: 0.1,
 		StragglerSlowdown: 2,
 		Speculation:       true,
@@ -141,18 +139,6 @@ func TestSnapshotTargetPastEnd(t *testing.T) {
 	_, err = CaptureAt(snapOpts(7), snapJobs(), CheckpointTarget{SimTime: 1e12})
 	if err == nil || !strings.Contains(err.Error(), "not reached") {
 		t.Fatalf("SimTime capture past sim end: err = %v, want 'not reached'", err)
-	}
-}
-
-// TestSnapshotRejectsUnserializableHooks: a run holding an
-// OnMachineRepair closure cannot be snapshotted — the error arrives
-// before the simulation starts.
-func TestSnapshotRejectsUnserializableHooks(t *testing.T) {
-	opts := snapOpts(7)
-	opts.OnMachineRepair = func(machine int, at float64) {}
-	_, err := CaptureAt(opts, snapJobs(), CheckpointTarget{EventIndex: 50})
-	if err == nil || !strings.Contains(err.Error(), "OnMachineRepair") {
-		t.Fatalf("err = %v, want OnMachineRepair rejection", err)
 	}
 }
 

@@ -1,9 +1,10 @@
 package snapshot
 
-// Field-level structural diff, used two ways: the restore audit compares a
-// replayed live State against the captured one (any difference is a hard
-// restore error and an invariant violation), and corralsnap diff renders
-// the differences between two snapshot files for inspection.
+// Field-level structural diff, used three ways: the restore audit compares
+// a replayed live State against the captured one (any difference is a hard
+// restore error and an invariant violation), Resume compares a snapshot's
+// Spec against the one the runtime rebuilds from it, and corralsnap diff
+// renders the differences between two snapshot files for inspection.
 //
 // The walk is generic reflection: structs by field name, slices by index,
 // maps by sorted key, pointers dereferenced. Leaves compare with
@@ -30,6 +31,11 @@ func Diff(a, b *Snapshot) []string {
 // point.
 func DiffStates(a, b *State) []string {
 	return diffValues("state", reflect.ValueOf(a), reflect.ValueOf(b))
+}
+
+// DiffSpecs diffs just the Spec sections — the resume check's entry point.
+func DiffSpecs(a, b *Spec) []string {
+	return diffValues("spec", reflect.ValueOf(a), reflect.ValueOf(b))
 }
 
 func diffValues(path string, a, b reflect.Value) []string {

@@ -101,10 +101,16 @@ type Corruption struct {
 }
 
 // Spec is the complete run input: rebuilding a runtime from a Spec and
-// replaying is what Restore does. Function-valued options (Probe, Trace,
-// OnMachineRepair, a custom Network policy instance) are not part of the
-// Spec — policies are recorded by Name and observers are reattached by the
-// resumer.
+// replaying is what Restore does. Function-valued options (Probe, Trace, a
+// custom Network policy instance) are not part of the Spec — policies are
+// recorded by Name and observers are reattached by the resumer.
+//
+// OutputReplication, Heartbeat, DisableReReplication, AdhocShare, the
+// attempt, blacklist and AM-restart fields and MaxReplansPerWindow record
+// the runtime's substrate constants (OutputReplication depends on
+// InMemoryInput, MaxReplansPerWindow on ReplanWindow). They stay so the
+// v1 wire format is unchanged; the runtime rejects a Spec whose values
+// differ.
 type Spec struct {
 	Topology  topology.Config
 	Scheduler string
@@ -112,8 +118,7 @@ type Spec struct {
 	// incremental max-min allocator, bit-identical to the grouped and
 	// reference allocators).
 	Policy string
-	// FlowEpoch is always 0. It is kept so the v1 wire format stays
-	// byte-identical; the runtime rejects a Spec with any other value.
+	// FlowEpoch is always 0, kept like the substrate constants above.
 	FlowEpoch float64
 	Seed      int64
 	Plan      *planner.Plan
