@@ -67,13 +67,16 @@ chaos:
 fuzz:
 	$(GO) test ./internal/experiments -run 'TestFuzz|TestAttritionSweep' -count=1 -v
 
-# Native fuzzing of the snapshot decoder: 20 s of coverage-guided
-# mutation from the committed snapshot files. Decode must never panic,
-# never return a snapshot with an error, and round-trip whatever it
-# accepts. A crasher lands in internal/snapshot/testdata/fuzz/FuzzDecode,
-# where `go test` replays it from then on.
+# Native fuzzing of the input decoders, 20 s of coverage-guided mutation
+# each. snapshot.Decode, seeded from the committed snapshot files, must
+# never panic, never return a snapshot with an error, and round-trip
+# whatever it accepts. corraltrace's JSONL summarizer, seeded from its
+# overload trace fixture, must never panic and must fail with an error and
+# no output on malformed input. A crasher lands in the package's
+# testdata/fuzz/<target> directory, where `go test` replays it from then on.
 fuzz-native:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s
+	$(GO) test ./cmd/corraltrace -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 20s
 
 # Overload gate: at 4x the saturating arrival rate under a fault storm,
 # budgeted Corral (planner deadline budget + replan-storm suppression +

@@ -25,6 +25,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -77,9 +78,15 @@ func main() {
 	}
 }
 
-// summarize streams the JSONL trace, cutting it into runs at header lines
-// and printing one summary per run.
+// summarize streams the JSONL trace, cutting it into runs at header lines,
+// and prints one summary per run. The summaries are buffered and written
+// only once the whole trace has parsed, so malformed input yields an
+// error and no output.
 func summarize(w io.Writer, r io.Reader, top int) error {
+	if top < 0 {
+		return fmt.Errorf("-top %d: must not be negative", top)
+	}
+	var out bytes.Buffer
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	var run *runSummary
@@ -96,7 +103,7 @@ func summarize(w io.Writer, r io.Reader, top int) error {
 		}
 		if e.Run != nil {
 			if run != nil {
-				run.print(w, top)
+				run.print(&out, top)
 			}
 			run = newRunSummary(e.Label)
 			continue
@@ -112,8 +119,9 @@ func summarize(w io.Writer, r io.Reader, top int) error {
 	if run == nil {
 		return fmt.Errorf("empty trace")
 	}
-	run.print(w, top)
-	return nil
+	run.print(&out, top)
+	_, err := out.WriteTo(w)
+	return err
 }
 
 // taskKey identifies one task across its attempts.

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"corral/internal/des"
@@ -105,4 +107,123 @@ func BenchmarkRecomputeIncremental10k(b *testing.B) {
 // ratio is the incremental win in isolation.
 func BenchmarkRecomputeGroupedChurn10k(b *testing.B) {
 	benchmarkAllocateChurn(b, NewGroupedMaxMin(), 10000)
+}
+
+// dc2kFlows builds the allocator input of a 2k-machine scale cell in
+// mid-run (50 racks × 40 machines, 10 Gbps NICs, 5:1 oversubscription):
+// Corral confines most jobs to one rack, so most flows are in-rack — map
+// input reads between machine NICs and rack-local shuffle transfers into a
+// reducer's NIC — while jobs spanning two racks and remote input reads add
+// cross-rack paths that chain racks, and the machines behind them, into
+// one large component beside dozens of small rack-local ones. The 2k cell
+// averages ~650 flows, ~390 path groups and ~54 components per allocator
+// call, the largest ~300 of ~390 live links; this set has 632 flows, 392
+// groups and 48 components, the largest 314 links. The last churn flows
+// are the ones rounds drop and restore, drawn from every kind above.
+func dc2kFlows(b *testing.B) (n *Network, churn int) {
+	b.Helper()
+	c := topology.MustNew(topology.Config{
+		Racks:            50,
+		MachinesPerRack:  40,
+		SlotsPerMachine:  2,
+		NICBandwidth:     10 * gbps,
+		Oversubscription: 5,
+	})
+	n = New(des.New(), c, MaxMinFair{})
+	rng := rand.New(rand.NewSource(2000))
+	// machine draws one of the first 20 machines of rack r: the ones a
+	// job on the rack occupies.
+	machine := func(r int) int { return r*c.Config.MachinesPerRack + rng.Intn(20) }
+	var held []*Flow
+	hold := func(f *Flow) {
+		if rng.Intn(40) == 0 {
+			held = append(held, f)
+		}
+	}
+	start := func(src, dst int) { hold(n.Start(src, dst, 1*gbps, 0, 0, nil)) }
+	// Ten racks carry the jobs spanning racks: rack-aggregated shuffle
+	// transfers and remote input reads between them chain their rack
+	// links and the machines behind them into one large component, and
+	// most rack-local input reads there join it.
+	for i := 0; i < 110; i++ {
+		r1, r2 := rng.Intn(10), rng.Intn(10)
+		if r1 == r2 {
+			continue
+		}
+		path := []topology.LinkID{c.RackUplink(r1), c.RackDownlink(r2), c.MachineDownlink(machine(r2))}
+		for k := rng.Intn(4); k >= 0; k-- {
+			hold(n.StartPath(path, true, 1*gbps, 0, 0, nil))
+		}
+		start(machine(r1), machine(r2))
+	}
+	for i := 0; i < 170; i++ {
+		r := rng.Intn(10)
+		if src, dst := machine(r), machine(r); src != dst {
+			start(src, dst)
+		}
+	}
+	// The other racks run rack-local jobs: a reducer's shuffle transfers,
+	// each its own small component.
+	for r := 10; r < 50; r++ {
+		path := []topology.LinkID{c.MachineDownlink(machine(r))}
+		for k := rng.Intn(6); k >= 0; k-- {
+			hold(n.StartPath(path, false, 1*gbps, 0, 0, nil))
+		}
+	}
+	// Move the held flows to the tail, where rounds drop and restore them.
+	w := 0
+	for _, f := range n.flows {
+		if !slices.Contains(held, f) {
+			n.flows[w] = f
+			w++
+		}
+	}
+	copy(n.flows[w:], held)
+	return n, len(held)
+}
+
+// BenchmarkRecomputeIncrementalDC2k measures warm incremental rounds on
+// the 2k cell's flow shape (dc2kFlows): every iteration drops or restores
+// a few of the churn flows, so groups vanish, reappear and resize in the
+// large component and in small ones, as flow completions and task starts
+// do in a run. It reports the shape it measured and fails unless warm
+// rounds allocate nothing.
+func BenchmarkRecomputeIncrementalDC2k(b *testing.B) {
+	n, churn := dc2kFlows(b)
+	all := n.flows
+	inc := NewIncrementalMaxMin()
+	inc.Allocate(all, n.caps, n.scratch)
+	groups, comps, largest := len(inc.live), 0, 0
+	for ci := range inc.comps {
+		if c := &inc.comps[ci]; c.live {
+			comps++
+			links := 0
+			for l := c.head; l >= 0; l = inc.linkNext[l] {
+				links++
+			}
+			largest = max(largest, links)
+		}
+	}
+	// Drop 0, 1/3, 2/3, all, 2/3, 1/3 … of the churn flows in turn.
+	round := func(i int) {
+		d := i % 6
+		if d > 3 {
+			d = 6 - d
+		}
+		inc.Allocate(all[:len(all)-d*churn/3], n.caps, n.scratch)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(24, func() { round(i); i++ }); allocs != 0 {
+		b.Fatalf("warm rounds perform %.1f allocations per call, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(all)), "flows")
+	b.ReportMetric(float64(groups), "groups")
+	b.ReportMetric(float64(comps), "components")
+	b.ReportMetric(float64(largest), "largest-links")
 }

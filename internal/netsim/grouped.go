@@ -1,14 +1,10 @@
 package netsim
 
-import (
-	"slices"
+import "corral/internal/topology"
 
-	"corral/internal/topology"
-)
-
-// GroupedMaxMin is a drop-in fast path for MaxMinFair: it collapses flows
-// sharing an identical link path (same Network-interned pathID) into one
-// equivalence class before water-filling. On the two-level CLOS there are
+// GroupedMaxMin is max-min water filling over path equivalence classes:
+// flows sharing an identical link path (same Network-interned pathID)
+// collapse into one group before filling. On the two-level CLOS there are
 // only O(racks²) distinct paths regardless of flow count — the execution
 // engine's rack-aggregated shuffle transfers reuse a handful of paths per
 // destination machine — so the fill loop runs over hundreds of groups
@@ -18,59 +14,34 @@ import (
 // class are indistinguishable to progressive filling (same links, same
 // freeze instant), and maxMinFill charges links with one aggregated
 // delta·count operation per link per level, which is exactly the arithmetic
-// performed here on group counts. Each member flow's rate in the reference
-// is the same sum 0 + δ₁ + δ₂ + … accumulated below per group. The seeded
-// differential tests in grouped_test.go enforce this bit-for-bit.
+// fillComponent performs on group counts. Each member flow's rate in the
+// reference is the same sum 0 + δ₁ + δ₂ + … accumulated below per group.
+// The seeded differential tests in grouped_test.go enforce this bit for bit.
 //
-// Like the reference, filling is component-local: used links are
+// Like the reference, filling is component-local: live links are
 // partitioned into connected components via the groups' paths, and each
 // component is filled with its own level/accumulator against its own links
 // only. A component's rates are therefore a pure function of its
 // (path, member-count) multiset and its links' capacities — the invariant
-// IncrementalMaxMin exploits to reuse cached rates for components whose
-// inputs did not change (see incremental.go).
+// IncrementalMaxMin exploits to keep the rates of components whose inputs
+// did not change (see incremental.go).
 //
-// The allocator keeps reusable scratch keyed by pathID and link id, with
-// round-stamping instead of clearing, so steady-state Allocate calls do not
-// allocate. It is stateful: use one instance per Network (NewGroupedMaxMin),
-// never share an instance across concurrently running simulations.
+// GroupedMaxMin is IncrementalMaxMin with its tables dropped before every
+// round: each Allocate is a cold round that builds every group and
+// component and fills them all. It is the differential tests' cache-free
+// oracle for the incremental allocator; MaxMinFair is the independent one.
+// It is stateful (reused scratch, allocation-free in the steady state):
+// use one instance per Network, never share one across concurrently
+// running simulations.
 type GroupedMaxMin struct {
-	// Per-pathID scratch, grown as new paths are interned. groupOf[id] is
-	// only meaningful when gstamp[id] == round.
-	groupOf []int32
-	gstamp  []int32
-	groups  []pathGroup
-
-	// Per-link scratch. cnt[l] (unfrozen member flows on link l) and
-	// linkGroups[l] (indices of groups whose path crosses l) are only
-	// meaningful when cstamp[l] == round. used holds the id-sorted links
-	// with any members, so the fill loop never scans the full link table.
-	cnt        []int
-	linkGroups [][]int32
-	cstamp     []int32
-	used       []int
-
-	// Connected-component scratch, valid per round like cnt. parent is the
-	// union-find forest over used links; compOf[l] is link l's dense
-	// component ordinal (assigned in ascending-link-id order, so ordinals
-	// are deterministic); compLinks[c] lists component c's links ascending;
-	// gcomp[gi] is group gi's component; compGroups[c]/compRate[c] hold the
-	// component's group count and final fill accumulator.
-	parent     []int32
-	compOf     []int32
-	compLinks  [][]int32
-	gcomp      []int32
-	compGroups []int32
-	compRate   []float64
-	numComps   int
-
-	round int32
+	inc IncrementalMaxMin
 }
 
 type pathGroup struct {
 	path   []topology.LinkID
-	id     int32 // interned pathID: the group's stable identity across rounds
 	count  int   // member flows
+	comp   int32 // component slot; -1 while the group is being placed
+	next   int32 // next group of the component
 	rate   float64
 	frozen bool
 }
@@ -84,180 +55,61 @@ func (g *GroupedMaxMin) Name() string { return "maxmin-grouped" }
 // Allocate implements Policy. Panics if any flow was constructed outside
 // Network.StartPath (pathID 0): grouping needs the interned path identity.
 //
-// The steady state is allocation-free (round-stamped scratch, grow-once
-// slices), pinned dynamically by BenchmarkRecomputeGrouped10k and
-// statically by the hotalloc analyzer via the marker below.
+// The steady state is allocation-free (grow-once tables and free lists),
+// pinned dynamically by BenchmarkRecomputeGrouped10k and statically by the
+// hotalloc analyzer via the marker below.
 //
 //corral:hotpath
 func (g *GroupedMaxMin) Allocate(flows []*Flow, caps []float64, scratch []float64) {
-	remaining := scratch
-	copy(remaining, caps)
-	if len(flows) == 0 {
-		return
-	}
-	g.build(flows, len(remaining))
-	g.partition()
-	for ci := 0; ci < g.numComps; ci++ {
-		g.fillComponent(ci, remaining)
-	}
-	g.assignRates(flows)
+	g.inc.reset()
+	g.inc.Allocate(flows, caps, scratch)
 }
 
-// build groups the flows by interned pathID, recomputes the per-link
-// member counts, group lists and used-link set, and unions links sharing a
-// group into the component forest. Shared by GroupedMaxMin and
-// IncrementalMaxMin; round-stamped scratch keeps it allocation-free in the
-// steady state.
+// fillComponent water-fills one component's groups over its own links and
+// returns the final fill accumulator. links is the component's link list
+// in ascending id order; it is consumed as scratch. cnt[l] must hold the
+// member count of the component's groups crossing l, remaining[l] the
+// link's capacity, and every group of the component must be unfrozen;
+// unfrozen is their number.
 //
-//corral:hotpath
-func (g *GroupedMaxMin) build(flows []*Flow, nLinks int) {
-	g.round++
-	if g.round < 0 { // stamp counter wrapped; invalidate all stamps
-		for i := range g.gstamp {
-			g.gstamp[i] = 0
-		}
-		for i := range g.cstamp {
-			g.cstamp[i] = 0
-		}
-		g.round = 1
-	}
-
-	// Build equivalence classes in flow order (deterministic: the Network
-	// iterates flows in start order).
-	g.groups = g.groups[:0]
-	for _, f := range flows {
-		id := int(f.pathID)
-		if id == 0 {
-			panic("netsim: GroupedMaxMin requires flows started via Network.StartPath (pathID unset)")
-		}
-		if id >= len(g.groupOf) {
-			g.groupOf = append(g.groupOf, make([]int32, id+1-len(g.groupOf))...)
-			g.gstamp = append(g.gstamp, make([]int32, id+1-len(g.gstamp))...)
-		}
-		if g.gstamp[id] != g.round {
-			g.gstamp[id] = g.round
-			g.groupOf[id] = int32(len(g.groups))
-			g.groups = append(g.groups, pathGroup{path: f.path, id: f.pathID, count: 1})
-		} else {
-			g.groups[g.groupOf[id]].count++
-		}
-	}
-
-	// Per-link unfrozen member counts, per-link group membership, and the
-	// sorted used-link list.
-	if len(g.cnt) < nLinks {
-		g.cnt = make([]int, nLinks)
-		g.cstamp = make([]int32, nLinks)
-		g.parent = make([]int32, nLinks)
-		g.compOf = make([]int32, nLinks)
-		lg := make([][]int32, nLinks)
-		copy(lg, g.linkGroups) // keep already-grown member slices
-		g.linkGroups = lg
-	}
-	g.used = g.used[:0]
-	for gi := range g.groups {
-		grp := &g.groups[gi]
-		for _, l := range grp.path {
-			li := int(l)
-			if g.cstamp[li] != g.round {
-				g.cstamp[li] = g.round
-				g.cnt[li] = 0
-				g.linkGroups[li] = g.linkGroups[li][:0]
-				g.parent[li] = int32(li)
-				g.compOf[li] = -1
-				g.used = append(g.used, li)
-			}
-			g.cnt[li] += grp.count
-			g.linkGroups[li] = append(g.linkGroups[li], int32(gi))
-		}
-		// Union the group's links into one component.
-		r0 := g.find(int32(grp.path[0]))
-		for _, l := range grp.path[1:] {
-			r := g.find(int32(l))
-			if r != r0 {
-				g.parent[r] = r0
-			}
-		}
-	}
-	// Ascending link ids make the bottleneck scan pick the same link as the
-	// reference's full-table scan (strict < keeps the lowest id on ties).
-	slices.Sort(g.used)
-}
-
-// find resolves link l's union-find root with path compression. Only valid
-// for links stamped in the current round.
-func (g *GroupedMaxMin) find(l int32) int32 {
-	for g.parent[l] != l {
-		g.parent[l] = g.parent[g.parent[l]]
-		l = g.parent[l]
-	}
-	return l
-}
-
-// partition assigns dense component ordinals to the used links (in
-// ascending-link-id order, hence deterministic), collects each component's
-// link list, and tags every group with its component.
-//
-//corral:hotpath
-func (g *GroupedMaxMin) partition() {
-	g.numComps = 0
-	for _, l := range g.used {
-		r := g.find(int32(l))
-		c := g.compOf[r]
-		if c < 0 {
-			c = int32(g.numComps)
-			g.compOf[r] = c
-			if g.numComps < len(g.compLinks) {
-				g.compLinks[g.numComps] = g.compLinks[g.numComps][:0]
-				g.compGroups[g.numComps] = 0
-			} else {
-				g.compLinks = append(g.compLinks, nil)
-				g.compGroups = append(g.compGroups, 0)
-				g.compRate = append(g.compRate, 0)
-			}
-			g.numComps++
-		}
-		g.compOf[l] = c
-		g.compLinks[c] = append(g.compLinks[c], int32(l))
-	}
-	g.gcomp = g.gcomp[:0]
-	for gi := range g.groups {
-		c := g.compOf[int(g.groups[gi].path[0])]
-		g.gcomp = append(g.gcomp, c)
-		g.compGroups[c]++
-	}
-}
-
-// fillComponent water-fills one component's groups over its own links.
 // Every unfrozen group has base rate 0 and receives the same delta at every
 // level, so one shared accumulator (rateAcc, summed with exactly the
 // reference's 0 + δ₁ + δ₂ + … operation order) stands in for all of them: a
-// group's rate is the accumulator's value at the instant it freezes. The
-// final accumulator is saved per component so groups left unfrozen (no
-// constrained links, impossible on our topology but kept for parity with
-// the reference's early break) pick it up in assignRates.
+// group's rate is the accumulator's value at the instant it freezes.
+// Groups left unfrozen (no constrained links, impossible on our topology
+// but kept for parity with the reference's early break) take the returned
+// accumulator.
+//
+// The bottleneck scan compacts links in place to those still carrying
+// unfrozen members, keeping ascending order, so the charge loop and every
+// later level visit live links only. A link whose count reached 0 is
+// skipped by the reference too; the same floats are combined in the same
+// order, and strict < still picks the lowest link id on ties, as the
+// reference's full-table scan does.
 //
 //corral:hotpath
-func (g *GroupedMaxMin) fillComponent(ci int, remaining []float64) {
-	links := g.compLinks[ci]
-	unfrozen := int(g.compGroups[ci])
+func fillComponent(links []int32, unfrozen int, remaining []float64, cnt []int, linkGroups [][]int32, groups []pathGroup) float64 {
 	level := 0.0
 	rateAcc := 0.0
 	for unfrozen > 0 {
 		bottleneck := -1
 		bottleneckLevel := 0.0
+		live := 0
 		for _, l32 := range links {
 			l := int(l32)
-			c := g.cnt[l]
+			c := cnt[l]
 			if c == 0 {
 				continue
 			}
+			links[live] = l32
+			live++
 			lv := level + remaining[l]/float64(c)
 			if bottleneck == -1 || lv < bottleneckLevel {
 				bottleneck = l
 				bottleneckLevel = lv
 			}
 		}
+		links = links[:live]
 		if bottleneck == -1 {
 			break
 		}
@@ -265,18 +117,14 @@ func (g *GroupedMaxMin) fillComponent(ci int, remaining []float64) {
 		rateAcc += delta
 		for _, l32 := range links {
 			l := int(l32)
-			c := g.cnt[l]
-			if c == 0 {
-				continue
-			}
-			remaining[l] -= delta * float64(c)
+			remaining[l] -= delta * float64(cnt[l])
 			if remaining[l] < 0 {
 				remaining[l] = 0 // numerical dust
 			}
 		}
 		level = bottleneckLevel
-		for _, gi := range g.linkGroups[bottleneck] {
-			grp := &g.groups[gi]
+		for _, gi := range linkGroups[bottleneck] {
+			grp := &groups[gi]
 			if grp.frozen {
 				continue
 			}
@@ -284,28 +132,11 @@ func (g *GroupedMaxMin) fillComponent(ci int, remaining []float64) {
 			grp.rate = rateAcc
 			unfrozen--
 			for _, l2 := range grp.path {
-				g.cnt[int(l2)] -= grp.count
+				cnt[int(l2)] -= grp.count
 			}
 		}
 		remaining[bottleneck] = 0
-		g.cnt[bottleneck] = 0
+		cnt[bottleneck] = 0
 	}
-	g.compRate[ci] = rateAcc
-}
-
-// assignRates copies group rates to member flows, giving groups that never
-// froze their component's final accumulator (the reference's early-break
-// behavior, per component).
-//
-//corral:hotpath
-func (g *GroupedMaxMin) assignRates(flows []*Flow) {
-	for gi := range g.groups {
-		grp := &g.groups[gi]
-		if !grp.frozen {
-			grp.rate = g.compRate[g.gcomp[gi]]
-		}
-	}
-	for _, f := range flows {
-		f.rate = g.groups[g.groupOf[int(f.pathID)]].rate
-	}
+	return rateAcc
 }

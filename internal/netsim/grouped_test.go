@@ -93,11 +93,20 @@ func replay(c *topology.Cluster, ops []scriptOp, p Policy) runLog {
 // consult a liveness table — skipping a dead handle is exactly the
 // reference's cancel-finished-flow no-op.
 func replayWith(c *topology.Cluster, ops []scriptOp, p Policy, pooling bool) runLog {
+	return replayAudited(c, ops, p, pooling, nil)
+}
+
+// replayAudited is replayWith with audit, if non-nil, called on the
+// network after every allocation.
+func replayAudited(c *topology.Cluster, ops []scriptOp, p Policy, pooling bool, audit func(*Network)) runLog {
 	sim := des.New()
 	n := New(sim, c, p)
 	n.SetFlowPooling(pooling)
 	log := runLog{completions: make(map[int64]des.Time)}
 	n.OnAllocate = func() {
+		if audit != nil {
+			audit(n)
+		}
 		s := rateSnap{at: sim.Now()}
 		for _, f := range n.flows {
 			s.ids = append(s.ids, f.ID)
