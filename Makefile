@@ -72,11 +72,15 @@ fuzz:
 # never panic, never return a snapshot with an error, and round-trip
 # whatever it accepts. corraltrace's JSONL summarizer, seeded from its
 # overload trace fixture, must never panic and must fail with an error and
-# no output on malformed input. A crasher lands in the package's
-# testdata/fuzz/<target> directory, where `go test` replays it from then on.
+# no output on malformed input. corralbench's `go test -bench` parser,
+# seeded from its test inputs, must never panic, must return no baseline
+# with an error, and must compare an accepted run with itself without
+# drift. A crasher lands in the package's testdata/fuzz/<target>
+# directory, where `go test` replays it from then on.
 fuzz-native:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s
 	$(GO) test ./cmd/corraltrace -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 20s
+	$(GO) test ./cmd/corralbench -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s
 
 # Overload gate: at 4x the saturating arrival rate under a fault storm,
 # budgeted Corral (planner deadline budget + replan-storm suppression +

@@ -364,6 +364,7 @@ type runtime struct {
 	deadCount    int
 	running      [][]*runningTask // per-machine in-flight attempts
 	machineOrder []int            // heartbeat visit order, reshuffled per pass
+	orderPos     []int            // inverse of machineOrder: orderPos[m] is m's position
 
 	// tkArena is the chunked attempt arena (newRunningTask): objects are
 	// handed out chunk-by-chunk and never recycled.
@@ -411,6 +412,14 @@ type runtime struct {
 	// runnableJobs is dispatch's per-pass scratch: the byOrder subsequence
 	// with runnable tasks, rebuilt at the top of every dispatch.
 	runnableJobs []*jobExec
+	// Candidate racks of the current dispatch (the union of the runnable
+	// jobs' allowedRacks, marked in rackMarked), and candidateOrder's
+	// scratch: a bitmap over machineOrder positions and the list of the
+	// racks' machines in heartbeat order.
+	candRacks    []int
+	rackMarked   []bool
+	posBits      []uint64
+	candMachines []int
 
 	dispatchPending bool
 	retryPending    bool
@@ -506,9 +515,13 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	// objects are recycled instead of churning the GC.
 	rt.net.SetFlowPooling(true)
 	rt.machineOrder = make([]int, m)
+	rt.orderPos = make([]int, m)
+	rt.rackMarked = make([]bool, cluster.Config.Racks)
+	rt.posBits = make([]uint64, (m+63)/64)
 	for i := range rt.freeSlots {
 		rt.freeSlots[i] = cluster.Config.SlotsPerMachine
 		rt.machineOrder[i] = i
+		rt.orderPos[i] = i
 	}
 	rt.blacklisted = make([]bool, m)
 	rt.machineFailures = make([]int, m)

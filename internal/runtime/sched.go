@@ -1,6 +1,10 @@
 package runtime
 
-import "corral/internal/des"
+import (
+	"math/bits"
+
+	"corral/internal/des"
+)
 
 // Dispatch: the resource-manager side of the runtime. Whenever slots free
 // up or new tasks become runnable, pending tasks are matched to free slots
@@ -14,13 +18,68 @@ import "corral/internal/des"
 // job accepts rack-local slots, after DelayRackLocal any slot.
 
 // shuffleMachineOrder re-permutes the heartbeat order (Fisher-Yates on the
-// runtime's seeded rng, so runs stay deterministic).
+// runtime's seeded rng, so runs stay deterministic) and keeps orderPos its
+// inverse.
+//
+//corral:hotpath
 func (rt *runtime) shuffleMachineOrder() {
-	n := len(rt.machineOrder)
-	for i := n - 1; i > 0; i-- {
-		j := rt.rng.Intn(i + 1)
-		rt.machineOrder[i], rt.machineOrder[j] = rt.machineOrder[j], rt.machineOrder[i]
+	order, pos := rt.machineOrder, rt.orderPos
+	for i := len(order) - 1; i > 0; i-- {
+		j := rt.rngSrc.intn(i + 1)
+		a, b := order[i], order[j]
+		order[i], order[j] = b, a
+		pos[b], pos[a] = i, j
 	}
+}
+
+// markCandidateRacks collects into candRacks the union of the runnable
+// jobs' allowedRacks and reports whether that union is every rack (always
+// so once one runnable job is unconstrained). A slot offered outside the
+// union is turned down by every job at its allowsRack check, before any
+// state is touched, and neither runnableJobs nor allowedRacks can change
+// during a dispatch, so dispatch need not visit those racks at all.
+func (rt *runtime) markCandidateRacks() bool {
+	for _, r := range rt.candRacks {
+		rt.rackMarked[r] = false
+	}
+	rt.candRacks = rt.candRacks[:0]
+	for _, je := range rt.runnableJobs {
+		if je.allowedRacks == nil {
+			return true
+		}
+		for _, r := range je.allowedRacks {
+			if !rt.rackMarked[r] {
+				rt.rackMarked[r] = true
+				rt.candRacks = append(rt.candRacks, r)
+			}
+		}
+	}
+	return len(rt.candRacks) == len(rt.rackMarked)
+}
+
+// candidateOrder returns the machines of candRacks in heartbeat order. It
+// sorts their machineOrder positions by marking them in the posBits
+// bitmap and reading the bitmap back in ascending order, which costs
+// O(candidates + machines/64) and leaves posBits clear.
+//
+//corral:hotpath
+func (rt *runtime) candidateOrder() []int {
+	for _, r := range rt.candRacks {
+		lo, hi := rt.cluster.MachinesInRack(r)
+		for m := lo; m < hi; m++ {
+			p := rt.orderPos[m]
+			rt.posBits[p>>6] |= 1 << (p & 63)
+		}
+	}
+	out := rt.candMachines[:0]
+	for w, word := range rt.posBits {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, rt.machineOrder[w<<6|bits.TrailingZeros64(word)])
+		}
+		rt.posBits[w] = 0
+	}
+	rt.candMachines = out
+	return out
 }
 
 // requestDispatch coalesces dispatch work to one event per instant.
@@ -57,7 +116,10 @@ func (je *jobExec) runnableTasks() int {
 // Machines are visited in a freshly shuffled order on every pass: YARN
 // node-manager heartbeats arrive in effectively random order, and a fixed
 // index order would let the FIFO scheduler pack jobs into low-numbered
-// racks "for free".
+// racks "for free". Every pass shuffles all machines, so the rng stream is
+// the same whichever racks the pass then visits.
+//
+//corral:hotpath
 func (rt *runtime) dispatch() {
 	rt.declined = false
 	// One pass over the job list narrows the per-slot scan to jobs that can
@@ -74,10 +136,15 @@ func (rt *runtime) dispatch() {
 			rt.runnableJobs = append(rt.runnableJobs, je)
 		}
 	}
+	allRacks := rt.markCandidateRacks()
 	for {
 		assigned := false
 		rt.shuffleMachineOrder()
-		for _, m := range rt.machineOrder {
+		visit := rt.machineOrder
+		if !allRacks {
+			visit = rt.candidateOrder()
+		}
+		for _, m := range visit {
 			if rt.dead[m] || rt.blacklisted[m] {
 				continue
 			}

@@ -55,6 +55,28 @@ func (c *countingSource) Uint64() uint64 {
 	return c.src.Uint64()
 }
 
+// intn is rand.New(c).Intn(n) for 0 < n <= math.MaxInt32 without the
+// rand.Rand indirection: math/rand's Int31n, power-of-two mask and
+// rejection loop included, on Int63()>>32. Go 1 compatibility freezes
+// math/rand's seeded stream, so the values and the draw count match.
+//
+//corral:hotpath
+func (c *countingSource) intn(n int) int {
+	if n <= 0 || n > math.MaxInt32 {
+		panic("runtime: intn argument out of range")
+	}
+	m := int32(n)
+	if m&(m-1) == 0 {
+		return int(int32(c.Int63()>>32) & (m - 1))
+	}
+	limit := int32((1 << 31) - 1 - (1<<31)%uint32(m))
+	v := int32(c.Int63() >> 32)
+	for v > limit {
+		v = int32(c.Int63() >> 32)
+	}
+	return int(v % m)
+}
+
 func (c *countingSource) Seed(seed int64) {
 	c.draws = 0
 	c.src.Seed(seed)
