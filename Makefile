@@ -75,12 +75,16 @@ fuzz:
 # no output on malformed input. corralbench's `go test -bench` parser,
 # seeded from its test inputs, must never panic, must return no baseline
 # with an error, and must compare an accepted run with itself without
-# drift. A crasher lands in the package's testdata/fuzz/<target>
-# directory, where `go test` replays it from then on.
+# drift. corralplan's workload decoder, seeded from workloadgen output,
+# must never panic, and whatever it accepts must plan without a panic and
+# with one assignment per plannable job. A crasher lands in the package's
+# testdata/fuzz/<target> directory, where `go test` replays it from then
+# on.
 fuzz-native:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s
 	$(GO) test ./cmd/corraltrace -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 20s
 	$(GO) test ./cmd/corralbench -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s
+	$(GO) test ./cmd/corralplan -run '^$$' -fuzz '^FuzzDecodeJobs$$' -fuzztime 20s
 
 # Overload gate: at 4x the saturating arrival rate under a fault storm,
 # budgeted Corral (planner deadline budget + replan-storm suppression +

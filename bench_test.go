@@ -412,5 +412,6 @@ func BenchmarkPlan10k(b *testing.B) { benchPlan(b, 10000) }
 func BenchmarkScaleSweep(b *testing.B) {
 	benchExperiment(b, "scale",
 		"machines_2000_events", "machines_2000_makespan", "machines_2000_jobs",
-		"machines_2000_plan_objective", "cells", "verification_failures")
+		"machines_2000_plan_objective", "machines_2000_plan_candidates",
+		"machines_2000_plan_positions_replayed", "cells", "verification_failures")
 }

@@ -93,23 +93,24 @@ func main() {
 }
 
 func readJobs(path string) ([]*corral.Job, error) {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
+	if path == "-" {
+		return decodeJobs(os.Stdin)
 	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return decodeJobs(f)
+}
+
+// decodeJobs parses a workload JSON array. It checks syntax only: the
+// planner validates the jobs themselves (nil entries, profiles, duplicate
+// IDs) and reports what it rejects as an error.
+func decodeJobs(r io.Reader) ([]*corral.Job, error) {
 	var jobs []*corral.Job
 	if err := json.NewDecoder(r).Decode(&jobs); err != nil {
 		return nil, fmt.Errorf("decoding workload: %w", err)
-	}
-	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	return jobs, nil
 }

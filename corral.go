@@ -25,6 +25,8 @@
 package corral
 
 import (
+	"fmt"
+
 	"corral/internal/experiments"
 	"corral/internal/invariants"
 	"corral/internal/job"
@@ -82,9 +84,13 @@ type Assignment = planner.Assignment
 // in the list are skipped — the planner cannot see them (§3.1); they run
 // on otherwise-idle resources at execution time.
 func PlanBatch(cluster ClusterConfig, jobs []*Job) (*Plan, error) {
+	planned, err := plannable(jobs)
+	if err != nil {
+		return nil, err
+	}
 	return planner.New(planner.Input{
 		Cluster:   model.FromTopology(cluster),
-		Jobs:      plannable(jobs),
+		Jobs:      planned,
 		Alpha:     -1,
 		Objective: planner.MinimizeMakespan,
 	})
@@ -94,22 +100,32 @@ func PlanBatch(cluster ClusterConfig, jobs []*Job) (*Plan, error) {
 // (§4.1 online scenario; jobs carry arrival times). Ad-hoc jobs are
 // skipped, as in PlanBatch.
 func PlanOnline(cluster ClusterConfig, jobs []*Job) (*Plan, error) {
+	planned, err := plannable(jobs)
+	if err != nil {
+		return nil, err
+	}
 	return planner.New(planner.Input{
 		Cluster:   model.FromTopology(cluster),
-		Jobs:      plannable(jobs),
+		Jobs:      planned,
 		Alpha:     -1,
 		Objective: planner.MinimizeAvgCompletion,
 	})
 }
 
-func plannable(jobs []*Job) []*Job {
+// plannable checks the whole job list — nil entries, invalid jobs and
+// duplicate IDs, ad-hoc jobs included since they share the runtime's ID
+// space — and returns the jobs the planner sees.
+func plannable(jobs []*Job) ([]*Job, error) {
+	if err := job.ValidateAll(jobs); err != nil {
+		return nil, fmt.Errorf("corral: %w", err)
+	}
 	out := make([]*Job, 0, len(jobs))
 	for _, j := range jobs {
 		if !j.AdHoc {
 			out = append(out, j)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Scheduler selects the cluster scheduling policy.
@@ -267,9 +283,13 @@ type Commitment = planner.Commitment
 // will periodically receive updated estimates ... and update the
 // guidelines"). Objective: average completion time.
 func Replan(cluster ClusterConfig, jobs []*Job, now float64, commitments []Commitment) (*Plan, error) {
+	planned, err := plannable(jobs)
+	if err != nil {
+		return nil, err
+	}
 	return planner.Replan(planner.Input{
 		Cluster:   model.FromTopology(cluster),
-		Jobs:      plannable(jobs),
+		Jobs:      planned,
 		Alpha:     -1,
 		Objective: planner.MinimizeAvgCompletion,
 	}, now, commitments)

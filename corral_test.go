@@ -2,6 +2,7 @@ package corral_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"corral"
@@ -28,6 +29,36 @@ func TestDefaultClusterIsPaper(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlanRejectsMalformedJobLists: the public planning entry points
+// return an error, not a panic or a silently merged plan, for a nil entry
+// and for duplicate IDs — also when the duplicate is an ad-hoc job the
+// planner itself never sees.
+func TestPlanRejectsMalformedJobLists(t *testing.T) {
+	withAdHocDup := append(smallWorkload(1), corral.MarkAdHoc(smallWorkload(1)[:1])...)
+	cases := []struct {
+		name string
+		jobs []*corral.Job
+		want string
+	}{
+		{"nil only", []*corral.Job{nil}, "entry 0 is nil"},
+		{"nil among jobs", append(smallWorkload(1), nil), "is nil"},
+		{"duplicate IDs", append(smallWorkload(1), smallWorkload(1)[0]), "duplicate ID"},
+		{"ad-hoc duplicate", withAdHocDup, "duplicate ID"},
+	}
+	calls := map[string]func([]*corral.Job) error{
+		"PlanBatch":  func(js []*corral.Job) error { _, err := corral.PlanBatch(smallCluster(), js); return err },
+		"PlanOnline": func(js []*corral.Job) error { _, err := corral.PlanOnline(smallCluster(), js); return err },
+		"Replan":     func(js []*corral.Job) error { _, err := corral.Replan(smallCluster(), js, 10, nil); return err },
+	}
+	for _, tc := range cases {
+		for name, call := range calls {
+			if err := call(tc.jobs); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: err = %v, want an error containing %q", tc.name, name, err, tc.want)
+			}
+		}
 	}
 }
 

@@ -215,18 +215,24 @@ func (p profile) wcfg(seed int64, jobs int, window float64) workload.Config {
 
 // planJobs runs the offline planner for the given objective.
 func planJobs(topo topology.Config, jobs []*job.Job, obj planner.Objective) (*planner.Plan, error) {
+	return planner.New(planInput(topo, jobs, obj))
+}
+
+// planInput is the planner input for the non-ad-hoc jobs, with the
+// paper's default data-imbalance penalty.
+func planInput(topo topology.Config, jobs []*job.Job, obj planner.Objective) planner.Input {
 	var planned []*job.Job
 	for _, j := range jobs {
 		if !j.AdHoc {
 			planned = append(planned, j)
 		}
 	}
-	return planner.New(planner.Input{
+	return planner.Input{
 		Cluster:   model.FromTopology(topo),
 		Jobs:      planned,
 		Alpha:     -1,
 		Objective: obj,
-	})
+	}
 }
 
 // runAll runs the same workload under every scheduler in kinds, planning

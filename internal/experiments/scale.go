@@ -86,6 +86,9 @@ type ScaleCell struct {
 	// pure function of the cell parameters, exported as a semantic key so
 	// any change to planner output shows up as gated drift.
 	PlanObjective float64
+	// PlanWork is the provisioning phase's work counters, pure functions
+	// of the cell parameters like PlanObjective.
+	PlanWork planner.Work
 
 	// Verification verdicts. PlanOK covers only the plan wall-clock
 	// budget (planBudgetSeconds).
@@ -168,7 +171,9 @@ func runScaleCell(p ScaleParams, machines int) (ScaleCell, error) {
 	cell.Jobs = len(jobs)
 
 	planStart := time.Now() //corralvet:ok wallclock the scale suite measures the planner's real running time per cell
-	plan, err := planJobs(topo, jobs, planner.MinimizeAvgCompletion)
+	in := planInput(topo, jobs, planner.MinimizeAvgCompletion)
+	in.Work = &cell.PlanWork
+	plan, err := planner.New(in)
 	if err != nil {
 		return cell, fmt.Errorf("scale %d machines: plan: %w", machines, err)
 	}
@@ -338,6 +343,8 @@ func (rep *ScaleReport) report() *Report {
 		r.set(fmt.Sprintf("machines_%d_jobs", c.Machines), float64(c.Jobs))
 		r.set(fmt.Sprintf("machines_%d_failed_jobs", c.Machines), float64(res.FailedJobs))
 		r.set(fmt.Sprintf("machines_%d_plan_objective", c.Machines), c.PlanObjective)
+		r.set(fmt.Sprintf("machines_%d_plan_candidates", c.Machines), float64(c.PlanWork.Candidates))
+		r.set(fmt.Sprintf("machines_%d_plan_positions_replayed", c.Machines), float64(c.PlanWork.PositionsReplayed))
 		// Host measurements: wallclock_ prefix keeps them out of
 		// determinism comparisons and CI metric gates.
 		r.set(fmt.Sprintf("wallclock_%d_seconds", c.Machines), c.WallSeconds)

@@ -9,6 +9,7 @@ package job
 
 import (
 	"fmt"
+	"math"
 )
 
 // Profile is the paper's per-(stage-)job characterization: the 5-tuple
@@ -24,8 +25,20 @@ type Profile struct {
 	ReduceRate   float64 // B_R: bytes/sec one reduce task processes
 }
 
-// Validate reports whether the profile is usable.
+// Validate reports whether the profile is usable. Every float field must
+// be finite: NaN slips through each ordered comparison below.
 func (p Profile) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"InputBytes", p.InputBytes}, {"ShuffleBytes", p.ShuffleBytes}, {"OutputBytes", p.OutputBytes},
+		{"MapRate", p.MapRate}, {"ReduceRate", p.ReduceRate},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("job: %s = %g, must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case p.InputBytes < 0 || p.ShuffleBytes < 0 || p.OutputBytes < 0:
 		return fmt.Errorf("job: negative data size in profile %+v", p)
@@ -89,6 +102,9 @@ func (j *Job) Validate() error {
 	if len(j.Stages) == 0 {
 		return fmt.Errorf("job %d: no stages", j.ID)
 	}
+	if math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 0) {
+		return fmt.Errorf("job %d: Arrival = %g, must be finite", j.ID, j.Arrival)
+	}
 	for i, s := range j.Stages {
 		if err := s.Profile.Validate(); err != nil {
 			return fmt.Errorf("job %d stage %d: %w", j.ID, i, err)
@@ -98,6 +114,26 @@ func (j *Job) Validate() error {
 				return fmt.Errorf("job %d stage %d: upstream %d not earlier in topological order", j.ID, i, u)
 			}
 		}
+	}
+	return nil
+}
+
+// ValidateAll checks a job list as one planning input: no nil entry, every
+// job valid, and unique IDs — the planner's prioritization order breaks
+// its final tie on the ID, and plans are keyed by it.
+func ValidateAll(jobs []*Job) error {
+	seen := make(map[int]int, len(jobs))
+	for i, j := range jobs {
+		if j == nil {
+			return fmt.Errorf("job: entry %d is nil", i)
+		}
+		if err := j.Validate(); err != nil {
+			return err
+		}
+		if first, dup := seen[j.ID]; dup {
+			return fmt.Errorf("job: duplicate ID %d (entries %d and %d)", j.ID, first, i)
+		}
+		seen[j.ID] = i
 	}
 	return nil
 }

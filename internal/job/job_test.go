@@ -2,6 +2,7 @@ package job
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -47,6 +48,28 @@ func TestProfileValidate(t *testing.T) {
 				t.Fatal("Validate = nil, want error")
 			}
 		})
+	}
+}
+
+// TestProfileRejectsNonFinite: NaN passes every ordered check, so each
+// float field needs its own finiteness test, and the error names it.
+func TestProfileRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Profile) *float64{
+		"InputBytes":   func(p *Profile) *float64 { return &p.InputBytes },
+		"ShuffleBytes": func(p *Profile) *float64 { return &p.ShuffleBytes },
+		"OutputBytes":  func(p *Profile) *float64 { return &p.OutputBytes },
+		"MapRate":      func(p *Profile) *float64 { return &p.MapRate },
+		"ReduceRate":   func(p *Profile) *float64 { return &p.ReduceRate },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := validProfile()
+			p.ReduceTasks = 0 // map-only: ReduceRate is otherwise unchecked
+			*field(&p) = v
+			if err := p.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %g: Validate = %v, want an error naming %s", name, v, err, name)
+			}
+		}
 	}
 }
 
@@ -116,6 +139,42 @@ func TestDAGValidate(t *testing.T) {
 	empty := &Job{ID: 2}
 	if err := empty.Validate(); err == nil {
 		t.Fatal("empty job not rejected")
+	}
+	for _, arr := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		j := diamond()
+		j.Arrival = arr
+		if err := j.Validate(); err == nil || !strings.Contains(err.Error(), "Arrival") {
+			t.Fatalf("Arrival %g: Validate = %v, want an error naming Arrival", arr, err)
+		}
+	}
+}
+
+func TestValidateAll(t *testing.T) {
+	mk := func(id int) *Job { return MapReduce(id, "j", validProfile()) }
+	bad := mk(3)
+	bad.Stages[0].Profile.MapTasks = 0
+	cases := []struct {
+		name string
+		jobs []*Job
+		want string // error substring; "" = valid
+	}{
+		{"empty", nil, ""},
+		{"distinct", []*Job{mk(1), mk(2), mk(3)}, ""},
+		{"nil entry", []*Job{mk(1), nil}, "entry 1 is nil"},
+		{"only nil", []*Job{nil}, "entry 0 is nil"},
+		{"duplicate ID", []*Job{mk(7), mk(1), mk(7)}, "duplicate ID 7 (entries 0 and 2)"},
+		{"invalid job", []*Job{mk(1), bad}, "MapTasks"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := ValidateAll(tc.jobs)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("ValidateAll = %v, want nil", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("ValidateAll = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

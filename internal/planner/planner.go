@@ -11,10 +11,12 @@
 //     the whole cluster. Each of the J·R intermediate allocations is
 //     evaluated with the prioritization phase, and the best one wins.
 //     At datacenter scale this phase dominates planning wall-clock, so it
-//     has a fast engine (provision.go: precomputed widening chain,
-//     parallel candidate evaluation, group-compressed objective) that is
+//     has a fast engine (provision.go: heap-built widening chain,
+//     parallel candidate evaluation in fixed-size blocks, group-compressed
+//     objective that replays only the suffix a candidate changes) that is
 //     bit-identical to the straightforward serial loop kept as the
-//     differential oracle in provision_test.go.
+//     differential oracle in provision_test.go. Input.Work reports the
+//     phase's work as deterministic counters.
 //
 //   - Prioritization (Fig 4): an extension of LPT/LIST scheduling. Jobs
 //     are sorted (batch: widest first, then longest; online: by arrival,
@@ -74,6 +76,10 @@ type Input struct {
 	// simulated time for failure-triggered replans.
 	Trace     *trace.Tracer
 	TraceTime float64
+	// Work, if set, has the provisioning phase's work counters added to
+	// it; nil keeps counting off. It lives here rather than on Plan,
+	// whose fields are part of the snapshot wire format.
+	Work *Work
 }
 
 // tracer resolves the invocation's tracer: the explicit Input.Trace, else
@@ -154,10 +160,8 @@ func planTwoPhase(in Input, now float64, initF []float64) (*Plan, error) {
 	}
 	// Validate every job before emitting plan_start so a rejected input
 	// cannot leave an unbalanced trace (plan_start with no plan_done).
-	for _, j := range in.Jobs {
-		if err := j.Validate(); err != nil {
-			return nil, err
-		}
+	if err := job.ValidateAll(in.Jobs); err != nil {
+		return nil, fmt.Errorf("planner: %w", err)
 	}
 	tr := in.tracer()
 	tr.PlanStart(now, J, in.Objective.String())

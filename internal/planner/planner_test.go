@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -59,11 +60,42 @@ func TestEmptyPlan(t *testing.T) {
 	}
 }
 
+// TestInvalidJobRejected: every planning entry point returns an error —
+// never a panic or a silently short plan — for an invalid job, a nil
+// entry, duplicate IDs (jobLess needs them unique to be a strict total
+// order; six jobs sharing ID 7 once yielded a one-assignment plan) and a
+// NaN arrival (Replan's clamping must not launder it).
 func TestInvalidJobRejected(t *testing.T) {
-	j := mkJob(1, 10, 10, 10, 10, 10)
-	j.Stages[0].Profile.MapTasks = 0
-	if _, err := New(Input{Cluster: testClusterModel(), Jobs: []*job.Job{j}}); err == nil {
-		t.Fatal("invalid job not rejected")
+	bad := mkJob(1, 10, 10, 10, 10, 10)
+	bad.Stages[0].Profile.MapTasks = 0
+	nanArrival := mkJob(2, 10, 10, 10, 10, 10)
+	nanArrival.Arrival = math.NaN()
+	dup := make([]*job.Job, 6)
+	for i := range dup {
+		dup[i] = mkJob(7, 10, 10, 10, 10, 10)
+	}
+	cases := []struct {
+		name string
+		jobs []*job.Job
+		want string
+	}{
+		{"invalid profile", []*job.Job{bad}, "MapTasks"},
+		{"nil entry", []*job.Job{mkJob(1, 10, 10, 10, 10, 10), nil}, "entry 1 is nil"},
+		{"duplicate IDs", dup, "duplicate ID 7"},
+		{"NaN arrival", []*job.Job{nanArrival}, "Arrival"},
+	}
+	calls := map[string]func(Input) error{
+		"New":               func(in Input) error { _, err := New(in); return err },
+		"Replan":            func(in Input) error { _, err := Replan(in, 100, nil); return err },
+		"ReplanIncremental": func(in Input) error { _, err := ReplanIncremental(in, 100, nil, nil); return err },
+	}
+	for _, tc := range cases {
+		for name, call := range calls {
+			err := call(Input{Cluster: testClusterModel(), Jobs: tc.jobs, Objective: MinimizeAvgCompletion})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: err = %v, want an error containing %q", tc.name, name, err, tc.want)
+			}
+		}
 	}
 }
 

@@ -3,15 +3,16 @@ package planner
 // Provisioning fast path. The §4.2 provisioning phase explores a chain of
 // J·(R−1)+1 candidate allocations — start every job at one rack, then
 // repeatedly widen the job with the longest current estimate — and keeps
-// the candidate whose prioritization objective is smallest. Two structural
-// facts make this chain cheap to evaluate at datacenter scale without
-// changing a single output bit:
+// the candidate whose prioritization objective is smallest. Three
+// structural facts make this chain cheap to evaluate at datacenter scale
+// without changing a single output bit:
 //
 //  1. The chain itself never looks at the prioritization results: the job
 //     to widen next is chosen purely from resp[i].At(rj[i]), which depends
 //     only on the widths so far. The whole chain can therefore be
-//     precomputed up front (buildChain) and the candidate evaluations
-//     fanned out over a bounded work-stealing pool (the
+//     precomputed up front (buildChain, a max-heap on the current
+//     estimates) and the candidate evaluations fanned out in fixed-size
+//     blocks over a bounded work-stealing pool (the
 //     experiments/parallel.go pattern), with a serial index-order argmin
 //     afterwards — the strict `<` of the legacy loop — so the winner is
 //     identical for any worker count.
@@ -27,6 +28,15 @@ package planner
 //     (time, count) runs, replacing the legacy scheduler's O(R)-per-job
 //     flat merge and per-job rack-set sort with a few group operations.
 //
+//  3. The reposition moves the widened job from position i to position
+//     lo, so every prioritization step before min(i, lo) replays exactly
+//     as it did for the previous candidate. The evaluator checkpoints the
+//     replay state every ckStride positions and resumes each candidate
+//     from the last checkpoint at or before that point: the suffix is
+//     replayed with the same float operations on the same values, so the
+//     objective is bit-identical while about half of each replay is
+//     skipped.
+//
 // The legacy serial loop (provisionSerial in provision_test.go: the
 // scheduler evaluated once per candidate, exactly the pre-fast-path code)
 // is the differential-test oracle — the MaxMinFair-vs-GroupedMaxMin
@@ -35,10 +45,13 @@ package planner
 // at the scale suite's 2k-cell shape.
 //
 // Determinism obligations: candidate objectives are pure functions of
-// (jobs, cluster, widths); block decomposition and worker scheduling feed
-// neither the values nor the reduction order.
+// (jobs, cluster, widths). Block geometry is a fixed candidate count, so
+// the work done — and the Work counters that report it — is a pure
+// function of the input too; worker scheduling feeds neither the values,
+// the reduction order nor the counters.
 
 import (
+	"container/heap"
 	goruntime "runtime"
 	"sort"
 	"sync"
@@ -48,6 +61,26 @@ import (
 	"corral/internal/model"
 )
 
+const (
+	// blockCandidates is the number of consecutive chain candidates one
+	// block evaluates with one evaluator: large enough to amortize the
+	// block-entry sort and full replay, small enough that the 2k cell
+	// (~9.8k candidates) still splits into dozens of blocks to steal.
+	blockCandidates = 256
+	// ckStride is the checkpoint spacing B of the suffix replay: the
+	// evaluator keeps the replay state before every B-th position.
+	ckStride = 16
+)
+
+// Work counts the provisioning phase's work. Every field is a pure
+// function of the planner input — identical for any worker count — so the
+// counters explain a speedup without timing anything.
+type Work struct {
+	Chain             int64 // widening steps precomputed, J·(R−1)
+	Candidates        int64 // candidate allocations evaluated, Chain+1
+	PositionsReplayed int64 // prioritization steps run over all candidates
+}
+
 // planWorkersBound is the configured provisioning worker bound; <= 0
 // means GOMAXPROCS.
 var planWorkersBound atomic.Int64
@@ -55,7 +88,7 @@ var planWorkersBound atomic.Int64
 // SetWorkers bounds the worker pool the provisioning fast path fans
 // candidate evaluations over. n <= 0 restores the default (GOMAXPROCS);
 // n == 1 forces serial evaluation. The setting changes wall-clock only,
-// never results (TestProvisionWorkerCountInvariance).
+// never results or Work counters (TestProvisionWorkerCountInvariance).
 func SetWorkers(n int) { planWorkersBound.Store(int64(n)) }
 
 // Workers reports the current effective provisioning worker bound.
@@ -102,33 +135,64 @@ func parallelFor(n int, fn func(i int)) {
 	wg.Wait()
 }
 
+// widenHeap is a max-heap of the jobs still eligible for widening, keyed
+// on (current estimate descending, index ascending): its top is exactly
+// the job the legacy scan picks with its strict `>` and first index on
+// ties.
+type widenHeap struct {
+	idx []int
+	lat []float64 // lat[i] = resp[i].At(rj[i]), indexed by job
+}
+
+func (h *widenHeap) Len() int { return len(h.idx) }
+func (h *widenHeap) Less(a, b int) bool {
+	x, y := h.idx[a], h.idx[b]
+	// Exact comparison on purpose: the legacy scan's strict `>` keeps the
+	// first index only on bit-equal estimates.
+	if h.lat[x] != h.lat[y] {
+		return h.lat[x] > h.lat[y]
+	}
+	return x < y
+}
+func (h *widenHeap) Swap(a, b int) { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
+func (h *widenHeap) Push(x any)    { h.idx = append(h.idx, x.(int)) }
+func (h *widenHeap) Pop() any {
+	n := len(h.idx) - 1
+	x := h.idx[n]
+	h.idx = h.idx[:n]
+	return x
+}
+
 // buildChain replays the widening rule without evaluating any candidate:
 // chain[t] is the job widened to produce candidate t+1 (candidate 0 is
 // all-ones). The rule is verbatim the legacy loop's — widen the job with
 // the longest current estimate among those not yet cluster-wide, first
 // index on ties — so the precomputed chain visits exactly the allocations
-// the serial path visits, in the same order.
+// the serial path visits, in the same order. A job leaves the heap when
+// it spans the cluster, or when its estimate fails the scan's `> -1`
+// entry test (which a widen-free job can never pass later).
 func buildChain(resp []model.ResponseFunc, J, R int) []int {
 	chain := make([]int, 0, J*(R-1))
 	rj := make([]int, J)
+	h := &widenHeap{idx: make([]int, 0, J), lat: make([]float64, J)}
 	for i := range rj {
 		rj[i] = 1
+		if h.lat[i] = resp[i].At(1); R > 1 && h.lat[i] > -1 {
+			h.idx = append(h.idx, i)
+		}
 	}
-	for {
-		longest, longestLat := -1, -1.0
-		for i := range rj {
-			if rj[i] >= R {
+	heap.Init(h)
+	for len(h.idx) > 0 {
+		w := h.idx[0]
+		rj[w]++
+		chain = append(chain, w)
+		if rj[w] < R {
+			if h.lat[w] = resp[w].At(rj[w]); h.lat[w] > -1 {
+				heap.Fix(h, 0)
 				continue
 			}
-			if l := resp[i].At(rj[i]); l > longestLat {
-				longest, longestLat = i, l
-			}
 		}
-		if longest == -1 {
-			break
-		}
-		rj[longest]++
-		chain = append(chain, longest)
+		heap.Pop(h)
 	}
 	return chain
 }
@@ -186,36 +250,60 @@ func jobLess(online bool, jobs []*job.Job, resp []model.ResponseFunc, rj []int, 
 	return jobs[a].ID < jobs[b].ID
 }
 
-// evaluator computes one candidate objective per call, reusing per-worker
+// evaluator computes one candidate objective per call, reusing its
 // scratch so steady-state evaluation allocates nothing (pinned by
 // TestEvaluatorSteadyStateZeroAlloc and corralvet's hotalloc check via
 // the //corral:hotpath markers).
 type evaluator struct {
-	jobs       []*job.Job
-	resp       []model.ResponseFunc
-	online     bool
-	rj         []int
-	order      []int // job indices in prioritization order, maintained incrementally
-	initGroups []fGroup
-	groups     []fGroup // scratch: rack availability as sorted (time, count) runs
+	jobs   []*job.Job
+	resp   []model.ResponseFunc
+	online bool
+	rj     []int
+	order  []int    // job indices in prioritization order, maintained incrementally
+	groups []fGroup // scratch: rack availability as sorted (time, count) runs
+
+	// Suffix replay. Checkpoint c is the replay state before position
+	// c·ckStride: its live runs in ckRuns[c·ckWidth:][:ckLen[c]], plus the
+	// makespan and completion sum so far. Checkpoint 0 is the initial
+	// state and never changes. Every checkpoint at or before dirty is
+	// valid for the current order and widths.
+	dirty      int
+	ckWidth    int // live runs never exceed min(R, len(initGroups)+J)
+	ckRuns     []fGroup
+	ckLen      []int
+	ckMakespan []float64
+	ckSum      []float64
+	replayed   int64 // prioritization positions replayed since reset, for Work
 }
 
 func newEvaluator(in Input, resp []model.ResponseFunc, initGroups []fGroup) *evaluator {
 	J := len(in.Jobs)
-	return &evaluator{
+	width := len(initGroups) + J
+	if width > in.Cluster.Racks {
+		width = in.Cluster.Racks
+	}
+	nck := (J-1)/ckStride + 1 // checkpoints at positions 0, B, 2B, … < J
+	e := &evaluator{
 		jobs:       in.Jobs,
 		resp:       resp,
 		online:     in.Objective == MinimizeAvgCompletion,
 		rj:         make([]int, J),
 		order:      make([]int, J),
-		initGroups: initGroups,
 		groups:     make([]fGroup, len(initGroups)+J+1),
+		ckWidth:    width,
+		ckRuns:     make([]fGroup, nck*width),
+		ckLen:      make([]int, nck),
+		ckMakespan: make([]float64, nck),
+		ckSum:      make([]float64, nck),
 	}
+	e.ckLen[0] = copy(e.ckRuns, initGroups)
+	return e
 }
 
 // reset seeds the evaluator at the candidate with widths rj: one full
 // stable sort at block entry; widen maintains the order incrementally
-// from there.
+// from there. Every checkpoint but the initial one is invalidated, and the
+// replay count restarts.
 func (e *evaluator) reset(rj []int) {
 	copy(e.rj, rj)
 	for i := range e.order {
@@ -224,6 +312,8 @@ func (e *evaluator) reset(rj []int) {
 	sort.SliceStable(e.order, func(x, y int) bool {
 		return jobLess(e.online, e.jobs, e.resp, e.rj, e.order[x], e.order[y])
 	})
+	e.dirty = 0
+	e.replayed = 0
 }
 
 // widen applies rj[w]++ and repositions w in the prioritization order: a
@@ -231,7 +321,8 @@ func (e *evaluator) reset(rj []int) {
 // in place of the full J·log J re-sort — consecutive provisioning
 // candidates differ in exactly this one key, and jobLess is a strict
 // total order, so the repositioned sequence is the unique sorted
-// permutation the full sort would produce.
+// permutation the full sort would produce. Positions before min(i, lo)
+// keep their jobs and widths, so the checkpoints up to there stay valid.
 //
 //corral:hotpath widen runs once per provisioning candidate, J·(R−1) times per plan.
 func (e *evaluator) widen(w int) {
@@ -255,6 +346,7 @@ func (e *evaluator) widen(w int) {
 	}
 	copy(order[lo+1:], order[lo:J-1])
 	order[lo] = w
+	e.dirty = min(e.dirty, i, lo)
 }
 
 // objective runs one prioritization pass over the current widths and
@@ -272,14 +364,26 @@ func (e *evaluator) widen(w int) {
 // float operations. Equal-time runs merge; where the legacy flat list
 // interleaves equal-time racks by ID, any prefix drawn from the combined
 // run removes the same multiset of times regardless of the interleaving.
+// Resuming from a checkpoint restores exactly those runs, makespan and
+// sum, so the suffix repeats the full replay's operations on the same
+// values; only the runs' offset in the scratch buffer differs.
 //
 //corral:hotpath objective runs once per provisioning candidate, J·(R−1)+1 times per plan.
 func (e *evaluator) objective() float64 {
-	groups := e.groups[:len(e.initGroups)]
-	copy(groups, e.initGroups)
+	J := len(e.order)
+	c := e.dirty / ckStride
+	from := c * ckStride
+	groups := e.groups[:e.ckLen[c]]
+	copy(groups, e.ckRuns[c*e.ckWidth:])
 	head := 0 // groups[head:] is live; the prefix is consumed scratch
-	makespan, sum := 0.0, 0.0
-	for _, idx := range e.order {
+	makespan, sum := e.ckMakespan[c], e.ckSum[c]
+	for p := from; p < J; p++ {
+		if p%ckStride == 0 && p > from {
+			c = p / ckStride
+			e.ckLen[c] = copy(e.ckRuns[c*e.ckWidth:(c+1)*e.ckWidth], groups[head:])
+			e.ckMakespan[c], e.ckSum[c] = makespan, sum
+		}
+		idx := e.order[p]
 		k := e.rj[idx]
 		lat := e.resp[idx].At(k)
 		arr := 0.0
@@ -333,6 +437,8 @@ func (e *evaluator) objective() float64 {
 		}
 		sum += finish - arr
 	}
+	e.replayed += int64(J - from)
+	e.dirty = J
 	if e.online {
 		return sum / float64(len(e.jobs))
 	}
@@ -340,46 +446,53 @@ func (e *evaluator) objective() float64 {
 }
 
 // provisionFast explores the widening chain and returns the best widths
-// vector. It is the parallel/incremental engine: precompute the chain,
-// fan contiguous candidate blocks over the worker pool (each block with
-// its own evaluator scratch), then take the serial index-order argmin —
-// the legacy loop's strict `<` update rule, so the earliest candidate
-// wins ties and the result is worker-count-invariant.
+// vector, adding its work to in.Work when set. It is the
+// parallel/incremental engine: precompute the chain, fan fixed-size
+// contiguous candidate blocks over the worker pool (each block on an
+// evaluator no other block is using), then take the serial index-order argmin — the
+// legacy loop's strict `<` update rule, so the earliest candidate wins
+// ties and the result is worker-count-invariant.
 func provisionFast(in Input, resp []model.ResponseFunc, initF []float64) []int {
 	J, R := len(in.Jobs), in.Cluster.Racks
 	chain := buildChain(resp, J, R)
 	C := len(chain) + 1
 	initGroups := groupsFromInitF(initF, R)
 	objs := make([]float64, C)
+	nb := (C + blockCandidates - 1) / blockCandidates
+	replayed := make([]int64, nb)
 
-	// Contiguous blocks amortize the block-entry sort and width replay;
-	// a few blocks per worker keeps the stealing pool balanced. Block
-	// geometry affects wall-clock only: every objs[t] is a pure function
-	// of candidate t.
-	nb := Workers() * 4
-	if nb > C {
-		nb = C
+	// starts[b·J:][:J] is block b's entry widths, from one serial pass
+	// over the chain rather than a per-block replay of its whole prefix.
+	starts := make([]int, nb*J)
+	for i := 0; i < J; i++ {
+		starts[i] = 1
 	}
-	if nb < 1 {
-		nb = 1
+	for b := 1; b < nb; b++ {
+		rj := starts[b*J : (b+1)*J]
+		copy(rj, starts[(b-1)*J:])
+		for _, w := range chain[(b-1)*blockCandidates : b*blockCandidates] {
+			rj[w]++
+		}
 	}
+
+	// Evaluators are recycled across blocks: reset rewrites every field a
+	// candidate reads, so reuse is invisible to the results and counters.
+	pool := sync.Pool{New: func() any { return newEvaluator(in, resp, initGroups) }}
+
+	// Every objs[t] is a pure function of candidate t, and each block's
+	// replay count a pure function of its fixed bounds.
 	parallelFor(nb, func(b int) {
-		lo, hi := b*C/nb, (b+1)*C/nb
+		lo, hi := b*blockCandidates, min((b+1)*blockCandidates, C)
 		out := objs[lo:hi] // this block's own slots
-		ev := newEvaluator(in, resp, initGroups)
-		rj := make([]int, J)
-		for i := range rj {
-			rj[i] = 1
-		}
-		for t := 0; t < lo; t++ {
-			rj[chain[t]]++
-		}
-		ev.reset(rj)
+		ev := pool.Get().(*evaluator)
+		defer pool.Put(ev)
+		ev.reset(starts[b*J : (b+1)*J])
 		out[0] = ev.objective()
 		for t := lo + 1; t < hi; t++ {
 			ev.widen(chain[t-1])
 			out[t-lo] = ev.objective()
 		}
+		replayed[b] = ev.replayed
 	})
 
 	best := 0
@@ -394,6 +507,13 @@ func provisionFast(in Input, resp []model.ResponseFunc, initF []float64) []int {
 	}
 	for t := 0; t < best; t++ {
 		bestRj[chain[t]]++
+	}
+	if w := in.Work; w != nil {
+		w.Chain += int64(len(chain))
+		w.Candidates += int64(C)
+		for _, r := range replayed {
+			w.PositionsReplayed += r
+		}
 	}
 	return bestRj
 }

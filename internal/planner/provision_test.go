@@ -7,6 +7,7 @@ package planner
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -127,28 +128,46 @@ func TestProvisionFastMatchesSerial(t *testing.T) {
 }
 
 // TestProvisionWorkerCountInvariance pins the determinism contract: the
-// worker pool size changes wall-clock only, never the plan.
+// worker pool size changes wall-clock only, never the plan or the Work
+// counters. The input spans several fixed-size blocks, so the pool really
+// splits the chain.
 func TestProvisionWorkerCountInvariance(t *testing.T) {
 	defer SetWorkers(0)
 	rng := rand.New(rand.NewSource(7))
 	in := Input{
 		Cluster:   testClusterModel(),
-		Jobs:      randomJobs(rng, 40),
+		Jobs:      randomJobs(rng, 120),
 		Alpha:     -1,
 		Objective: MinimizeAvgCompletion,
 	}
+	if C := len(in.Jobs)*(in.Cluster.Racks-1) + 1; C <= 2*blockCandidates {
+		t.Fatalf("%d candidates fit in %d blocks; the test needs at least 3", C, (C+blockCandidates-1)/blockCandidates)
+	}
+	var workOne, workEight Work
 	SetWorkers(1)
+	in.Work = &workOne
 	one, err := New(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	SetWorkers(8)
+	in.Work = &workEight
 	eight, err := New(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(one, eight) {
 		t.Fatal("plan differs between 1 and 8 provisioning workers")
+	}
+	if workOne != workEight {
+		t.Fatalf("work counters differ between 1 and 8 workers: %+v vs %+v", workOne, workEight)
+	}
+	J, R := int64(len(in.Jobs)), int64(in.Cluster.Racks)
+	if want := (Work{Chain: J * (R - 1), Candidates: J*(R-1) + 1}); workOne.Chain != want.Chain || workOne.Candidates != want.Candidates {
+		t.Fatalf("work %+v, want chain %d and candidates %d", workOne, want.Chain, want.Candidates)
+	}
+	if p := workOne.PositionsReplayed; p <= 0 || p >= workOne.Candidates*J {
+		t.Fatalf("%d positions replayed over %d candidates of %d jobs: want some, and fewer than full replays", p, workOne.Candidates, J)
 	}
 }
 
@@ -170,36 +189,106 @@ func TestProvisionSeedsDiffer(t *testing.T) {
 }
 
 // TestBuildChainMatchesSerialWidening replays both widening rules side by
-// side: the precomputed chain must visit exactly the widths the serial
-// loop visits, in order.
+// side: the heap-built chain must visit exactly the widths the serial
+// scan visits, in order — including exact latency ties, where the scan
+// keeps the lowest index, and a one-rack cluster, where nothing widens.
 func TestBuildChainMatchesSerialWidening(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	in := Input{Cluster: testClusterModel(), Jobs: randomJobs(rng, 15), Alpha: -1}
-	J, R := len(in.Jobs), in.Cluster.Racks
-	resp := responseFuncs(t, in)
-
-	chain := buildChain(resp, J, R)
-	if want := J * (R - 1); len(chain) != want {
-		t.Fatalf("chain length %d, want %d", len(chain), want)
+	var ties []*job.Job
+	for i := 0; i < 12; i++ {
+		// Four distinct shapes, three jobs each: identical profiles give
+		// bit-equal estimates at every width.
+		ties = append(ties, mkJob(i+1, float64(100*(i%4+1)), 50, 10, 40, 10))
 	}
-	rj := make([]int, J)
-	for i := range rj {
-		rj[i] = 1
-	}
-	for step, w := range chain {
-		longest, longestLat := -1, -1.0
+	oneRack := testClusterModel()
+	oneRack.Racks = 1
+	for _, tc := range []struct {
+		name string
+		in   Input
+	}{
+		{"random", Input{Cluster: testClusterModel(), Jobs: randomJobs(rng, 15), Alpha: -1}},
+		{"exact ties", Input{Cluster: testClusterModel(), Jobs: ties, Alpha: -1}},
+		{"one rack", Input{Cluster: oneRack, Jobs: randomJobs(rng, 5), Alpha: -1}},
+	} {
+		J, R := len(tc.in.Jobs), tc.in.Cluster.Racks
+		resp := responseFuncs(t, tc.in)
+		chain := buildChain(resp, J, R)
+		if want := J * (R - 1); len(chain) != want {
+			t.Fatalf("%s: chain length %d, want %d", tc.name, len(chain), want)
+		}
+		rj := make([]int, J)
 		for i := range rj {
-			if rj[i] >= R {
-				continue
+			rj[i] = 1
+		}
+		for step, w := range chain {
+			longest, longestLat := -1, -1.0
+			for i := range rj {
+				if rj[i] >= R {
+					continue
+				}
+				if l := resp[i].At(rj[i]); l > longestLat {
+					longest, longestLat = i, l
+				}
 			}
-			if l := resp[i].At(rj[i]); l > longestLat {
-				longest, longestLat = i, l
+			if longest != w {
+				t.Fatalf("%s step %d: chain widens job %d, serial rule widens %d", tc.name, step, w, longest)
+			}
+			rj[w]++
+		}
+	}
+}
+
+// TestObjectiveSuffixReplayBitIdentical walks whole chains with one
+// evaluator, so nearly every objective resumes from a checkpoint, and
+// requires each to equal the legacy scheduler's from-scratch replay bit
+// for bit. It covers batch (where widen moves the job earlier) and online,
+// with and without commitments, at J below, at and just above the
+// checkpoint stride and far above it. A second walk after a rewinding
+// reset checks that reset invalidates the checkpoints a reused evaluator
+// left behind.
+func TestObjectiveSuffixReplayBitIdentical(t *testing.T) {
+	for _, J := range []int{ckStride - 1, ckStride, ckStride + 1, 6*ckStride + 5} {
+		for _, obj := range []Objective{MinimizeMakespan, MinimizeAvgCompletion} {
+			for _, committed := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(int64(J)))
+				in := Input{Cluster: testClusterModel(), Jobs: randomJobs(rng, J), Alpha: -1, Objective: obj}
+				var initF []float64
+				if committed {
+					now := rng.Float64() * 2000
+					var err error
+					if initF, err = commitmentAvailability(in.Cluster.Racks, now, randomCommitments(rng, in.Cluster.Racks, now)); err != nil {
+						t.Fatal(err)
+					}
+					in.Jobs = clampArrivals(in.Jobs, now)
+				}
+				name := fmt.Sprintf("J=%d %s committed=%v", J, obj, committed)
+				resp := responseFuncs(t, in)
+				chain := buildChain(resp, J, in.Cluster.Racks)
+				sched := newScheduler(in, resp)
+				sched.initF = initF
+				ev := newEvaluator(in, resp, groupsFromInitF(initF, in.Cluster.Racks))
+				for pass := 0; pass < 2; pass++ {
+					rj := make([]int, J)
+					for i := range rj {
+						rj[i] = 1
+					}
+					ev.reset(rj)
+					for t0 := 0; t0 <= len(chain); t0++ {
+						if t0 > 0 {
+							ev.widen(chain[t0-1])
+							rj[chain[t0-1]]++
+						}
+						got, want := ev.objective(), sched.run(rj).objective(obj)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s pass %d candidate %d: checkpointed objective %v, full replay %v", name, pass, t0, got, want)
+						}
+					}
+					if full := int64(len(chain)+1) * int64(J); J > ckStride && ev.replayed >= full {
+						t.Fatalf("%s: replayed %d positions, no fewer than %d full replays", name, ev.replayed, full)
+					}
+				}
 			}
 		}
-		if longest != w {
-			t.Fatalf("step %d: chain widens job %d, serial rule widens %d", step, w, longest)
-		}
-		rj[w]++
 	}
 }
 

@@ -84,6 +84,11 @@ func Replan(in Input, now float64, commitments []Commitment) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Clamping reads every Arrival and would replace a NaN one, so the
+	// jobs are checked first (planTwoPhase checks the clamped copies too).
+	if err := job.ValidateAll(in.Jobs); err != nil {
+		return nil, fmt.Errorf("planner: %w", err)
+	}
 	in.Jobs = clampArrivals(in.Jobs, now)
 	return planTwoPhase(in, now, initF)
 }
@@ -112,10 +117,8 @@ func ReplanIncremental(in Input, now float64, commitments []Commitment, widths m
 	}
 	// Validate every job before emitting plan_start so a rejected input
 	// cannot leave an unbalanced trace (plan_start with no plan_done).
-	for _, j := range in.Jobs {
-		if err := j.Validate(); err != nil {
-			return nil, err
-		}
+	if err := job.ValidateAll(in.Jobs); err != nil {
+		return nil, fmt.Errorf("planner: %w", err)
 	}
 	in.Jobs = clampArrivals(in.Jobs, now)
 	tr := in.tracer()
