@@ -170,12 +170,9 @@ type AMFailure = runtime.AMFailure
 // in simulated time.
 type Corruption = runtime.Corruption
 
-// InvariantProbe receives runtime lifecycle events; InvariantEvent is
-// one such event.
-type (
-	InvariantProbe = invariants.Probe
-	InvariantEvent = invariants.Event
-)
+// InvariantProbe observes a run's trace events as they are emitted
+// (SimConfig.Probe); InvariantMonitor is the checking one.
+type InvariantProbe = trace.Observer
 
 // InvariantMonitor checks runtime lifecycle invariants (slot
 // conservation, no attempts on dead or blacklisted machines, job
@@ -216,14 +213,6 @@ type CheckpointTarget = runtime.CheckpointTarget
 // that a snapshot deliberately excludes.
 type ResumeOptions = runtime.ResumeOptions
 
-// SimulateWithSnapshots runs like Simulate but captures a snapshot at each
-// target, passing it to fn between event firings; fn returning false
-// stops the simulation immediately. Targets the run never reaches make
-// the result come back with an error naming them.
-func SimulateWithSnapshots(cfg SimConfig, jobs []*Job, targets []CheckpointTarget, fn func(*Snapshot) bool) (*Result, error) {
-	return runtime.RunWithSnapshots(cfg, jobs, targets, fn)
-}
-
 // CaptureSnapshot runs the simulation until the target and returns the
 // snapshot captured there, tearing the run down immediately after.
 func CaptureSnapshot(cfg SimConfig, jobs []*Job, target CheckpointTarget) (*Snapshot, error) {
@@ -247,10 +236,6 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) { return snapshot.Encode(s) }
 // DecodeSnapshot parses a snapshot, rejecting unknown versions, corrupted
 // sections and schema drift with a clear error — never a partial restore.
 func DecodeSnapshot(data []byte) (*Snapshot, error) { return snapshot.Decode(data) }
-
-// DiffSnapshots returns human-readable field paths differing between two
-// snapshots (empty when identical).
-func DiffSnapshots(a, b *Snapshot) []string { return snapshot.Diff(a, b) }
 
 // Tracer records one run's deterministic simulation-time event stream
 // (task lifecycle, machine state, flows, link utilization, DFS activity,
@@ -383,13 +368,6 @@ type ExperimentInfo struct {
 	Description string
 }
 
-// ChaosParams configures a chaos sweep; ChaosReport is its outcome.
-type (
-	ChaosParams = experiments.ChaosParams
-	ChaosReport = experiments.ChaosReport
-	ChaosRun    = experiments.ChaosRun
-)
-
 // GenChaosTrace builds a seeded fault trace — transient machine failures
 // plus rack-uplink degradation windows — for the given cluster. The trace
 // is a pure function of the arguments and never removes capacity
@@ -398,11 +376,6 @@ type (
 func GenChaosTrace(cluster ClusterConfig, seed int64, intensity, horizon float64) ([]Failure, []LinkFault) {
 	return experiments.GenChaosTrace(cluster, seed, intensity, horizon)
 }
-
-// RunChaos replays seeded fault traces of increasing intensity against
-// the online W1 workload under Yarn-CS, constraint-drop-only Corral, and
-// Corral with failure-triggered replanning.
-func RunChaos(p ChaosParams) (*ChaosReport, error) { return experiments.RunChaos(p) }
 
 // RunChaosExperiment renders a chaos sweep as an ExperimentReport; nil or
 // empty intensities select the bundled default sweep.
@@ -413,19 +386,6 @@ func RunChaosExperiment(size ExperimentSize, seed int64, intensities []float64) 
 	return experiments.ChaosWithIntensities(experiments.Params{Size: size, Seed: seed}, intensities)
 }
 
-// FuzzParams configures a corralcheck sweep; FuzzReport is its outcome.
-type (
-	FuzzParams = experiments.FuzzParams
-	FuzzReport = experiments.FuzzReport
-)
-
-// RunFuzz executes the corralcheck property fuzzer: seeded randomized
-// workload + fault traces (machine failures, uplink degradation, task
-// crashes, AM kills, DFS corruption) replayed under Yarn-CS,
-// constraint-drop Corral and replanning Corral with the invariant
-// monitor attached. The report is a pure function of the params.
-func RunFuzz(p FuzzParams) (*FuzzReport, error) { return experiments.RunFuzz(p) }
-
 // RunFuzzExperiment renders a corralcheck sweep as an ExperimentReport;
 // traces <= 0 selects the bundled default trace count.
 func RunFuzzExperiment(size ExperimentSize, seed int64, traces int) (*ExperimentReport, error) {
@@ -435,25 +395,8 @@ func RunFuzzExperiment(size ExperimentSize, seed int64, traces int) (*Experiment
 	return experiments.FuzzWithTraces(experiments.Params{Size: size, Seed: seed}, traces)
 }
 
-// OverloadParams configures an overload sweep; OverloadReport is its
-// outcome and OverloadRun one arrival rate's row.
-type (
-	OverloadParams = experiments.OverloadParams
-	OverloadReport = experiments.OverloadReport
-	OverloadRun    = experiments.OverloadRun
-)
-
-// Degradations counts which planner-fallback tiers a budgeted run took
-// (full plan / incremental replan / greedy placement).
-type Degradations = runtime.Degradations
-
-// RunOverload sweeps arrival rates past saturation under a fault storm,
-// comparing Yarn-CS, unhardened replanning Corral (with the replan-rate
-// invariant armed) and budgeted Corral with storm suppression and
-// admission control.
-func RunOverload(p OverloadParams) (*OverloadReport, error) {
-	return experiments.RunOverload(p)
-}
+// OverloadParams configures an overload sweep (RunOverloadSweep).
+type OverloadParams = experiments.OverloadParams
 
 // RunOverloadExperiment renders an overload sweep as an ExperimentReport;
 // nil or empty rates select the bundled default sweep.
@@ -491,22 +434,6 @@ func PlannerCostFull(jobs, racks, stages int) float64 {
 // commitments-only incremental replan (the middle fallback tier).
 func PlannerCostIncremental(jobs, racks, stages int) float64 {
 	return planner.CostIncremental(jobs, racks, stages)
-}
-
-// ResumeParams configures a crash-resume equivalence sweep; ResumeReport
-// is its outcome.
-type (
-	ResumeParams = experiments.ResumeParams
-	ResumeReport = experiments.ResumeReport
-)
-
-// RunResumeEquivalence runs the crash-resume equivalence sweep for one
-// seed: a fault-heavy monitored baseline is snapshotted at random
-// mid-flight event indices, each captured run is torn down, restored from
-// the serialized snapshot bytes, run to completion, and required to
-// finish with a bit-identical Result and trace export.
-func RunResumeEquivalence(p ResumeParams) (*ResumeReport, error) {
-	return experiments.RunResumeEquivalence(p)
 }
 
 // CaptureScenarioSnapshot captures the crash-resume scenario run for

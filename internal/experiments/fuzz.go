@@ -28,7 +28,6 @@ import (
 	"corral/internal/metrics"
 	"corral/internal/planner"
 	"corral/internal/runtime"
-	"corral/internal/snapshot"
 	"corral/internal/workload"
 )
 
@@ -217,19 +216,9 @@ func RunFuzz(p FuzzParams) (*FuzzReport, error) {
 		if p.Snapshots && replanRes != nil && replanRes.Events > 2 {
 			label := fmt.Sprintf("trace %d (seed %d) snapshot-resume", i, traceSeed)
 			idx := replanRes.Events / 2
-			snap, err := runtime.CaptureAt(replanOpts, workload.Clone(jobs), runtime.CheckpointTarget{EventIndex: idx})
+			_, decoded, err := snapshotRoundTrip(replanOpts, jobs, idx)
 			if err != nil {
-				out.violations = append(out.violations, fmt.Sprintf("%s: capture@%d: %v", label, idx, err))
-				return nil
-			}
-			raw, err := snapshot.Encode(snap)
-			if err != nil {
-				out.violations = append(out.violations, fmt.Sprintf("%s: encode: %v", label, err))
-				return nil
-			}
-			decoded, err := snapshot.Decode(raw)
-			if err != nil {
-				out.violations = append(out.violations, fmt.Sprintf("%s: decode: %v", label, err))
+				out.violations = append(out.violations, fmt.Sprintf("%s: %v", label, err))
 				return nil
 			}
 			mon := invariants.NewMonitor(topo.Machines(), topo.SlotsPerMachine)

@@ -8,9 +8,7 @@ import (
 	"corral/internal/invariants"
 	"corral/internal/planner"
 	"corral/internal/runtime"
-	"corral/internal/snapshot"
 	"corral/internal/trace"
-	"corral/internal/workload"
 )
 
 // overloadGateRates: nominal load plus 4x past saturation — the ISSUE's
@@ -145,15 +143,7 @@ func TestOverloadResumeEquivalence(t *testing.T) {
 	}
 	for _, frac := range []float64{0.3, 0.6} {
 		idx := uint64(float64(base.Events) * frac)
-		snap, err := runtime.CaptureAt(opts, workload.Clone(jobs), runtime.CheckpointTarget{EventIndex: idx})
-		if err != nil {
-			t.Fatalf("capture at %d: %v", idx, err)
-		}
-		raw, err := snapshot.Encode(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := snapshot.Decode(raw)
+		_, decoded, err := snapshotRoundTrip(opts, jobs, idx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -165,21 +165,13 @@ func RunResumeEquivalence(p ResumeParams) (*ResumeReport, error) {
 	if err := parallelFor(p.Points, func(i int) error {
 		pt := &rep.Points[i]
 		pt.EventIndex = indices[i]
-		snap, err := runtime.CaptureAt(opts, workload.Clone(jobs), runtime.CheckpointTarget{EventIndex: indices[i]})
+		// Equivalence must hold for the serialized form a crashed process
+		// would restart from.
+		raw, decoded, err := snapshotRoundTrip(opts, jobs, indices[i])
 		if err != nil {
-			return fmt.Errorf("resume seed %d point %d: capture: %w", p.Seed, i, err)
+			return fmt.Errorf("resume seed %d point %d: %w", p.Seed, i, err)
 		}
-		pt.SimTime = snap.Meta.SimTime
-		// Round-trip through the codec: equivalence must hold for the
-		// serialized form a crashed process would restart from.
-		raw, err := snapshot.Encode(snap)
-		if err != nil {
-			return fmt.Errorf("resume seed %d point %d: encode: %w", p.Seed, i, err)
-		}
-		decoded, err := snapshot.Decode(raw)
-		if err != nil {
-			return fmt.Errorf("resume seed %d point %d: decode: %w", p.Seed, i, err)
-		}
+		pt.SimTime = decoded.Meta.SimTime
 		c := trace.NewCollector()
 		mon := invariants.NewMonitor(opts.Topology.Machines(), opts.Topology.SlotsPerMachine)
 		res, err := runtime.Resume(decoded, runtime.ResumeOptions{
@@ -217,6 +209,26 @@ func RunResumeEquivalence(p ResumeParams) (*ResumeReport, error) {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// snapshotRoundTrip captures the run at event idx and passes the snapshot
+// through the codec, returning the encoded bytes and the decoded snapshot
+// a restarted process would resume from. The error names the failing
+// step; callers add their own context.
+func snapshotRoundTrip(opts runtime.Options, jobs []*job.Job, idx uint64) ([]byte, *snapshot.Snapshot, error) {
+	snap, err := runtime.CaptureAt(opts, workload.Clone(jobs), runtime.CheckpointTarget{EventIndex: idx})
+	if err != nil {
+		return nil, nil, fmt.Errorf("capture@%d: %w", idx, err)
+	}
+	raw, err := snapshot.Encode(snap)
+	if err != nil {
+		return nil, nil, fmt.Errorf("encode: %w", err)
+	}
+	decoded, err := snapshot.Decode(raw)
+	if err != nil {
+		return nil, nil, fmt.Errorf("decode: %w", err)
+	}
+	return raw, decoded, nil
 }
 
 // ScenarioSnapshot captures the crash-resume scenario run for (size,

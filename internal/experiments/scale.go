@@ -44,7 +44,6 @@ import (
 	"corral/internal/metrics"
 	"corral/internal/planner"
 	"corral/internal/runtime"
-	"corral/internal/snapshot"
 	"corral/internal/topology"
 	"corral/internal/workload"
 )
@@ -234,18 +233,9 @@ func runScaleCell(p ScaleParams, machines int) (ScaleCell, error) {
 					again.Makespan, res.Makespan, again.Events, res.Events)
 			}
 		case 1: // snapshot at half the events, codec round-trip, resume
-			snap, err := runtime.CaptureAt(o, workload.Clone(jobs),
-				runtime.CheckpointTarget{EventIndex: res.Events / 2})
+			_, decoded, err := snapshotRoundTrip(o, jobs, res.Events/2)
 			if err != nil {
-				return fmt.Errorf("scale %d machines: capture: %w", machines, err)
-			}
-			raw, err := snapshot.Encode(snap)
-			if err != nil {
-				return fmt.Errorf("scale %d machines: encode: %w", machines, err)
-			}
-			decoded, err := snapshot.Decode(raw)
-			if err != nil {
-				return fmt.Errorf("scale %d machines: decode: %w", machines, err)
+				return fmt.Errorf("scale %d machines: %w", machines, err)
 			}
 			resumed, err := runtime.Resume(decoded, runtime.ResumeOptions{})
 			if err != nil {

@@ -40,7 +40,6 @@ import (
 
 	"corral/internal/des"
 	"corral/internal/dfs"
-	"corral/internal/invariants"
 	"corral/internal/snapshot"
 	"corral/internal/trace"
 )
@@ -51,33 +50,6 @@ type (
 	AMFailure  = snapshot.AMFailure
 	Corruption = snapshot.Corruption
 )
-
-// probe forwards a lifecycle event to the configured invariant probe.
-func (rt *runtime) probe(kind invariants.Kind, machine, jobID int) {
-	if rt.opts.Probe == nil {
-		return
-	}
-	rt.opts.Probe.Observe(invariants.Event{
-		Time:    float64(rt.sim.Now()),
-		Kind:    kind,
-		Machine: machine,
-		Job:     jobID,
-	})
-}
-
-// probeAudit reports an external audit failure as a violation event.
-func (rt *runtime) probeAudit(err error) {
-	if rt.opts.Probe == nil {
-		return
-	}
-	rt.opts.Probe.Observe(invariants.Event{
-		Time:    float64(rt.sim.Now()),
-		Kind:    invariants.Audit,
-		Machine: -1,
-		Job:     -1,
-		Detail:  err.Error(),
-	})
-}
 
 // armCrash rolls the injected-crash die for a freshly launched attempt.
 // A doomed attempt crashes partway into its nominal compute time; the
@@ -108,7 +80,6 @@ func (rt *runtime) crashAttempt(tk *runningTask) {
 		return
 	}
 	je := tk.je
-	rt.probe(invariants.TaskCrash, tk.machine, je.job.ID)
 	role, idx, att := tk.ident()
 	rt.tr.TaskCrash(float64(rt.sim.Now()), role, je.job.ID, tk.st.idx, idx, att, tk.machine)
 	var attempts int
@@ -138,7 +109,6 @@ func (rt *runtime) noteAttemptFailure(m int) {
 		return
 	}
 	rt.blacklisted[m] = true
-	rt.probe(invariants.Blacklist, m, -1)
 	rt.tr.Blacklist(float64(rt.sim.Now()), m)
 	rt.sim.After(des.Time(blacklistCooldown), func() { rt.unblacklist(m) })
 }
@@ -150,7 +120,6 @@ func (rt *runtime) unblacklist(m int) {
 	}
 	rt.blacklisted[m] = false
 	rt.machineFailures[m] = 0
-	rt.probe(invariants.Unblacklist, m, -1)
 	rt.tr.Unblacklist(float64(rt.sim.Now()), m)
 	if rt.dead[m] {
 		// Died during the cooldown: recoverMachine re-admits it if the
@@ -171,7 +140,6 @@ func (rt *runtime) failJob(je *jobExec, reason string) {
 	rt.active--
 	rt.failedJobs++
 	rt.abortJobAttempts(je)
-	rt.probe(invariants.JobFail, -1, je.job.ID)
 	rt.tr.JobFail(float64(rt.sim.Now()), je.job.ID, reason)
 	rt.onJobTerminal(je)
 	rt.requestDispatch()
@@ -207,7 +175,6 @@ func (rt *runtime) failAM(jobID int) {
 	if je == nil || !je.submitted || je.done() || je.amDown {
 		return
 	}
-	rt.probe(invariants.AMFail, -1, jobID)
 	rt.tr.AMFail(float64(rt.sim.Now()), jobID)
 	je.amFailures++
 	if je.amFailures >= maxAMAttempts {
@@ -233,7 +200,6 @@ func (rt *runtime) restartJob(je *jobExec) {
 	for _, st := range je.stages {
 		rt.recoverStage(st)
 	}
-	rt.probe(invariants.AMRestart, -1, je.job.ID)
 	rt.tr.AMRestart(float64(rt.sim.Now()), je.job.ID)
 	rt.requestDispatch()
 }
@@ -335,9 +301,7 @@ func (rt *runtime) applyCorruption(c Corruption) {
 		return
 	}
 	b := candidates[rt.rng.Intn(len(candidates))]
-	if rt.store.CorruptReplica(b, c.Machine) {
-		rt.probe(invariants.Corruption, c.Machine, -1)
-	}
+	rt.store.CorruptReplica(b, c.Machine)
 }
 
 // detectCorruption is the read-side checksum path: a reader that skipped
@@ -345,25 +309,4 @@ func (rt *runtime) applyCorruption(c Corruption) {
 // copies a clean replica over the bad one (repair.go).
 func (rt *runtime) detectCorruption(b *dfs.Block) {
 	rt.scheduleRepairs([]*dfs.Block{b})
-}
-
-// validateAttrition checks the attrition-related options at startup.
-func validateAttrition(opts Options, machines int) error {
-	if opts.TaskFailureProb < 0 || opts.TaskFailureProb > 1 {
-		return fmt.Errorf("runtime: TaskFailureProb %g outside [0,1]", opts.TaskFailureProb)
-	}
-	for _, af := range opts.AMFailures {
-		if af.At < 0 {
-			return fmt.Errorf("runtime: AM failure at negative time %g", af.At)
-		}
-	}
-	for _, c := range opts.Corruptions {
-		if c.Machine < 0 || c.Machine >= machines {
-			return fmt.Errorf("runtime: corruption targets machine %d, out of range", c.Machine)
-		}
-		if c.At < 0 {
-			return fmt.Errorf("runtime: corruption at negative time %g", c.At)
-		}
-	}
-	return nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"corral/internal/invariants"
 	"corral/internal/job"
+	"corral/internal/trace"
 )
 
 // countingProbe forwards events to an invariant monitor while counting
@@ -16,18 +17,18 @@ import (
 // lifecycle behaviour.
 type countingProbe struct {
 	mon    *invariants.Monitor
-	kinds  map[invariants.Kind]int
-	events []invariants.Event
+	kinds  map[trace.Kind]int
+	events []trace.Event
 }
 
 func newCountingProbe(machines, slots int) *countingProbe {
 	return &countingProbe{
 		mon:   invariants.NewMonitor(machines, slots),
-		kinds: make(map[invariants.Kind]int),
+		kinds: make(map[trace.Kind]int),
 	}
 }
 
-func (p *countingProbe) Observe(e invariants.Event) {
+func (p *countingProbe) Observe(e trace.Event) {
 	p.kinds[e.Kind]++
 	p.events = append(p.events, e)
 	p.mon.Observe(e)
@@ -59,11 +60,11 @@ func TestAttritionRetriesComplete(t *testing.T) {
 				jr.ID, jr.Failed, jr.CompletionTime)
 		}
 	}
-	if probe.kinds[invariants.TaskCrash] == 0 {
+	if probe.kinds[trace.KTaskCrash] == 0 {
 		t.Fatal("no task crashes injected at TaskFailureProb=0.25 (vacuous test)")
 	}
 	if !probe.mon.Ended() {
-		t.Fatal("monitor never saw SimEnd")
+		t.Fatal("monitor never saw sim_end")
 	}
 	if n := probe.mon.ViolationCount(); n != 0 {
 		t.Fatalf("%d invariant violations in a retried run: %v", n, probe.mon.Violations())
@@ -141,25 +142,25 @@ func TestBlacklistingAndRejoin(t *testing.T) {
 	if res.FailedJobs != 0 {
 		t.Fatalf("%d jobs failed; want all complete despite blacklisting", res.FailedJobs)
 	}
-	bl := probe.kinds[invariants.Blacklist]
+	bl := probe.kinds[trace.KBlacklist]
 	if bl == 0 {
 		t.Fatal("no machine was blacklisted (vacuous test)")
 	}
-	if probe.kinds[invariants.Unblacklist] != bl {
+	if probe.kinds[trace.KUnblacklist] != bl {
 		t.Fatalf("blacklist/unblacklist events %d/%d, want pairs",
-			bl, probe.kinds[invariants.Unblacklist])
+			bl, probe.kinds[trace.KUnblacklist])
 	}
 	since := map[int]float64{}
 	for _, e := range probe.events {
 		switch e.Kind {
-		case invariants.Blacklist:
-			since[e.Machine] = e.Time
-		case invariants.Unblacklist:
-			if at, ok := since[e.Machine]; !ok || math.Abs(e.Time-at-blacklistCooldown) > 1e-9 {
+		case trace.KBlacklist:
+			since[e.Mach] = e.T
+		case trace.KUnblacklist:
+			if at, ok := since[e.Mach]; !ok || math.Abs(e.T-at-blacklistCooldown) > 1e-9 {
 				t.Fatalf("machine %d rejoined at %g, blacklisted at %g (ok=%v); want %g s later",
-					e.Machine, e.Time, at, ok, blacklistCooldown)
+					e.Mach, e.T, at, ok, blacklistCooldown)
 			}
-			delete(since, e.Machine)
+			delete(since, e.Mach)
 		}
 	}
 	if n := probe.mon.ViolationCount(); n != 0 {
@@ -186,9 +187,9 @@ func TestAMRestartCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.kinds[invariants.AMFail] != 1 || probe.kinds[invariants.AMRestart] != 1 {
+	if probe.kinds[trace.KAMFail] != 1 || probe.kinds[trace.KAMRestart] != 1 {
 		t.Fatalf("AMFail/AMRestart events = %d/%d, want 1/1",
-			probe.kinds[invariants.AMFail], probe.kinds[invariants.AMRestart])
+			probe.kinds[trace.KAMFail], probe.kinds[trace.KAMRestart])
 	}
 	jr := res.Jobs[0]
 	if jr.Failed || jr.CompletionTime <= 0 {
@@ -272,12 +273,12 @@ func TestCorruptionReadFailoverAndRepair(t *testing.T) {
 }
 
 // vacuityProbe deliberately lies to the monitor — it swallows every
-// TaskFinish and TaskAbort — to prove the monitor can fail: the slot
+// task_finish and task_abort — to prove the monitor can fail: the slot
 // conservation invariant must fire on an otherwise healthy run.
 type vacuityProbe struct{ mon *invariants.Monitor }
 
-func (p *vacuityProbe) Observe(e invariants.Event) {
-	if e.Kind == invariants.TaskFinish || e.Kind == invariants.TaskAbort {
+func (p *vacuityProbe) Observe(e trace.Event) {
+	if e.Kind == trace.KTaskFinish || e.Kind == trace.KTaskAbort {
 		return
 	}
 	p.mon.Observe(e)
@@ -290,5 +291,30 @@ func TestMonitorAntiVacuity(t *testing.T) {
 		[]*job.Job{shuffleJob(1)})
 	if probe.mon.ViolationCount() == 0 {
 		t.Fatal("monitor saw only task starts yet reported no slot violation — it cannot fail")
+	}
+}
+
+// TestProbeOnlyRunBuffersNothing: a probe without an export tracer gets a
+// forward-only tracer, so a monitored run buffers no events and skips the
+// Enabled-guarded export work, yet the probe still sees the lifecycle.
+func TestProbeOnlyRunBuffersNothing(t *testing.T) {
+	topo := smallTopo()
+	probe := newCountingProbe(topo.Machines(), topo.SlotsPerMachine)
+	opts := attritionOpts(41)
+	opts.Probe = probe
+	rt, err := newRuntime(opts, []*job.Job{shuffleJob(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.run(); err != nil {
+		t.Fatal(err)
+	}
+	if rt.tr.Enabled() || len(rt.tr.Events()) != 0 {
+		t.Fatalf("probe-only run: tracer enabled %v with %d buffered events; want false, 0",
+			rt.tr.Enabled(), len(rt.tr.Events()))
+	}
+	if probe.kinds[trace.KMachineMeta] != 0 || probe.kinds[trace.KTaskStart] == 0 || !probe.mon.Ended() {
+		t.Fatalf("probe saw %d machine_meta, %d task_start, ended %v; want 0, >0, true",
+			probe.kinds[trace.KMachineMeta], probe.kinds[trace.KTaskStart], probe.mon.Ended())
 	}
 }

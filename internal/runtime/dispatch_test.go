@@ -8,10 +8,10 @@ import (
 	"slices"
 	"testing"
 
-	"corral/internal/invariants"
 	"corral/internal/job"
 	"corral/internal/planner"
 	"corral/internal/topology"
+	"corral/internal/trace"
 )
 
 // dispatchTopo: 8 racks x 4 machines x 2 slots, wide enough that a
@@ -134,7 +134,7 @@ func dispatchScenarios(t *testing.T) []dispatchScenario {
 				if res.Replans < 1 || res.Degradations.Full < 1 {
 					t.Fatalf("replans %d, degradations %+v: want a full replan after the rack loss", res.Replans, res.Degradations)
 				}
-				if p.kinds[invariants.Blacklist] == 0 {
+				if p.kinds[trace.KBlacklist] == 0 {
 					t.Fatal("no machine was blacklisted")
 				}
 			},

@@ -38,11 +38,9 @@ package runtime
 // copy that overtook the straggler), so speculation always terminates.
 
 import (
-	"fmt"
 	"math"
 
 	"corral/internal/des"
-	"corral/internal/invariants"
 	"corral/internal/netsim"
 	"corral/internal/snapshot"
 	"corral/internal/trace"
@@ -105,7 +103,6 @@ func (rt *runtime) track(je *jobExec, st *stageExec, t *mapTask, rT *reduceTask,
 		tk.noSpec = true
 	}
 	rt.running[m] = append(rt.running[m], tk)
-	rt.probe(invariants.TaskStart, m, je.job.ID)
 	return tk
 }
 
@@ -198,7 +195,6 @@ func (rt *runtime) abortTask(tk *runningTask, freeSlot bool, requeueDelay des.Ti
 	tk.flows = tk.flows[:0]
 	rt.finishTracking(tk)
 	rt.taskEnded(tk.je)
-	rt.probe(invariants.TaskAbort, tk.machine, tk.je.job.ID)
 	role, idx, att := tk.ident()
 	rt.tr.TaskAbort(float64(rt.sim.Now()), role, tk.je.job.ID, tk.st.idx, idx, att, tk.machine)
 	if freeSlot {
@@ -293,7 +289,6 @@ func (rt *runtime) recoverMachine(m int) {
 	}
 	rt.dead[m] = false
 	rt.deadCount--
-	rt.probe(invariants.MachineUp, m, -1)
 	rt.tr.MachineUp(float64(rt.sim.Now()), m)
 	rt.freeSlots[m] = rt.cluster.Config.SlotsPerMachine
 	rt.recoverAt[m] = math.Inf(1)
@@ -308,7 +303,6 @@ func (rt *runtime) failMachine(m int) {
 	}
 	rt.dead[m] = true
 	rt.deadCount++
-	rt.probe(invariants.MachineDown, m, -1)
 	rt.tr.MachineDown(float64(rt.sim.Now()), m)
 	rt.freeSlots[m] = 0
 	if math.IsInf(rt.recoverAt[m], 1) || rt.recoverAt[m] <= float64(rt.sim.Now()) {
@@ -385,38 +379,6 @@ func (rt *runtime) applyLinkFault(lf LinkFault) {
 		}
 	}
 	rt.requestDispatch()
-}
-
-// validateFailures checks configured failures at startup.
-func validateFailures(failures []Failure, machines int) error {
-	for _, f := range failures {
-		if f.Machine < 0 || f.Machine >= machines {
-			return fmt.Errorf("runtime: failure targets machine %d, out of range", f.Machine)
-		}
-		if f.At < 0 {
-			return fmt.Errorf("runtime: failure at negative time %g", f.At)
-		}
-		if f.Downtime < 0 {
-			return fmt.Errorf("runtime: failure with negative downtime %g", f.Downtime)
-		}
-	}
-	return nil
-}
-
-// validateLinkFaults checks configured link faults at startup.
-func validateLinkFaults(faults []LinkFault, racks int) error {
-	for _, lf := range faults {
-		if lf.Rack < 0 || lf.Rack >= racks {
-			return fmt.Errorf("runtime: link fault targets rack %d, out of range", lf.Rack)
-		}
-		if lf.At < 0 {
-			return fmt.Errorf("runtime: link fault at negative time %g", lf.At)
-		}
-		if lf.Factor < 0 {
-			return fmt.Errorf("runtime: link fault with negative factor %g", lf.Factor)
-		}
-	}
-	return nil
 }
 
 // computeDuration applies straggler injection to a task's nominal compute

@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"corral/internal/dfs"
-	"corral/internal/invariants"
 	"corral/internal/job"
 	"corral/internal/planner"
+	"corral/internal/trace"
 )
 
 // --- S1: watchdog timers are canceled on normal completion ------------------
@@ -204,8 +204,8 @@ func TestTransientFailureRecovers(t *testing.T) {
 	}
 	var recovered []float64
 	for _, e := range probe.events {
-		if e.Kind == invariants.MachineUp && e.Machine == 0 {
-			recovered = append(recovered, e.Time)
+		if e.Kind == trace.KMachineUp && e.Mach == 0 {
+			recovered = append(recovered, e.T)
 		}
 	}
 	if len(recovered) != 1 || math.Abs(recovered[0]-2.5) > 1e-9 {

@@ -1,10 +1,12 @@
 package runtime
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"corral/internal/job"
 	"corral/internal/netsim"
 	"corral/internal/snapshot"
 )
@@ -142,5 +144,41 @@ func TestResumeReferenceAllocatorSnapshot(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resumed, base) {
 		t.Errorf("resumed Result diverged from the uninterrupted MaxMinFair run:\n got:  %+v\n want: %+v", resumed, base)
+	}
+}
+
+// TestRejectsNonFiniteAndOutOfRangeFloats: every float option that is
+// NaN, infinite or out of range fails newRuntime with an error naming the
+// field — NaN slips past a `v < 0` check, so each bound must be an
+// interval test.
+func TestRejectsNonFiniteAndOutOfRangeFloats(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field string
+		mut   func(*Options)
+	}{
+		{"Failures[0].At", func(o *Options) { o.Failures = []Failure{{At: nan, Machine: 0}} }},
+		{"Failures[1].Downtime", func(o *Options) {
+			o.Failures = []Failure{{At: 1, Machine: 0}, {At: 1, Machine: 1, Downtime: inf}}
+		}},
+		{"LinkFaults[0].Factor", func(o *Options) { o.LinkFaults = []LinkFault{{At: 1, Rack: 0, Factor: nan}} }},
+		{"AMFailures[0].At", func(o *Options) { o.AMFailures = []AMFailure{{At: nan, JobID: 1}} }},
+		{"Corruptions[0].At", func(o *Options) { o.Corruptions = []Corruption{{At: -inf, Machine: 0}} }},
+		{"TaskFailureProb", func(o *Options) { o.TaskFailureProb = nan }},
+		{"StragglerFraction", func(o *Options) { o.StragglerFraction = 7 }},
+		{"StragglerFraction", func(o *Options) { o.StragglerFraction = nan }},
+		{"StragglerSlowdown", func(o *Options) { o.StragglerSlowdown = nan }},
+		{"SpeculationThreshold", func(o *Options) { o.SpeculationThreshold = inf }},
+		{"BlockSize", func(o *Options) { o.BlockSize = nan }},
+		{"PlannerBudget", func(o *Options) { o.PlannerBudget = nan }},
+		{"ReplanWindow", func(o *Options) { o.ReplanWindow = inf }},
+	}
+	for _, tc := range cases {
+		opts := Options{Topology: smallTopo(), BlockSize: 64e6, Seed: 1}
+		tc.mut(&opts)
+		_, err := newRuntime(opts, []*job.Job{shuffleJob(1)})
+		if err == nil || !strings.Contains(err.Error(), tc.field+" is ") {
+			t.Errorf("%s: err = %v, want one naming the field", tc.field, err)
+		}
 	}
 }

@@ -24,35 +24,10 @@ package runtime
 // skips an empty input delta: replanOnFailure returns before invoking
 // the planner when no job still needs new constraints.
 
-import (
-	"fmt"
-
-	"corral/internal/des"
-	"corral/internal/invariants"
-)
+import "corral/internal/des"
 
 // maxReplanCooldown caps the exponential window-stretch factor.
 const maxReplanCooldown = 8
-
-// validateOverload checks the overload-hardening knobs at startup.
-func validateOverload(opts Options) error {
-	if opts.PlannerBudget < 0 {
-		return fmt.Errorf("runtime: negative PlannerBudget %g", opts.PlannerBudget)
-	}
-	if opts.ReplanWindow < 0 {
-		return fmt.Errorf("runtime: negative ReplanWindow %g", opts.ReplanWindow)
-	}
-	if opts.AdmissionLimit < 0 {
-		return fmt.Errorf("runtime: negative AdmissionLimit %d", opts.AdmissionLimit)
-	}
-	if opts.AdmissionQueueCap < 0 {
-		return fmt.Errorf("runtime: negative AdmissionQueueCap %d", opts.AdmissionQueueCap)
-	}
-	if opts.AdmissionQueueCap > 0 && opts.AdmissionLimit <= 0 {
-		return fmt.Errorf("runtime: AdmissionQueueCap requires AdmissionLimit > 0")
-	}
-	return nil
-}
 
 // arrive is the admission gate in front of submit. With admission control
 // disabled it degenerates to an immediate submission — the legacy path.
@@ -77,7 +52,6 @@ func (rt *runtime) arrive(je *jobExec) {
 		if depth > rt.maxAdmissionQ {
 			rt.maxAdmissionQ = depth
 		}
-		rt.probe(invariants.JobDefer, depth, je.job.ID)
 		rt.tr.JobDeferred(now, je.job.ID, depth)
 		return
 	}
@@ -96,7 +70,6 @@ func (rt *runtime) shedJob(je *jobExec) {
 	rt.active--
 	rt.shed++
 	depth := len(rt.admissionQueue)
-	rt.probe(invariants.JobShed, depth, je.job.ID)
 	rt.tr.JobShed(now, je.job.ID, depth)
 }
 

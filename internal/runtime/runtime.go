@@ -28,7 +28,6 @@ import (
 
 	"corral/internal/des"
 	"corral/internal/dfs"
-	"corral/internal/invariants"
 	"corral/internal/job"
 	"corral/internal/netsim"
 	"corral/internal/planner"
@@ -227,10 +226,12 @@ type Options struct {
 	// AdmissionQueueCap bounds the admission queue (default 4×
 	// AdmissionLimit; requires AdmissionLimit > 0).
 	AdmissionQueueCap int
-	// Probe, if set, receives runtime lifecycle events for invariant
-	// monitoring (see internal/invariants). It runs inside the simulation;
-	// it must be deterministic and must not call back into the runtime.
-	Probe invariants.Probe
+	// Probe, if set, observes the run's trace events for invariant
+	// monitoring (see internal/invariants), whether or not Trace exports
+	// them, and arms the netsim feasibility and DFS accounting audits. It
+	// runs inside the simulation; it must be deterministic and must not
+	// call back into the runtime.
+	Probe trace.Observer
 	// Trace, if set, receives the run's lifecycle events (task attempts,
 	// flows, failures, repairs — see internal/trace). When nil, the runtime
 	// asks the process-wide trace collector for a run tracer (installed by
@@ -461,16 +462,7 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	if opts.SpeculationThreshold <= 1 {
 		opts.SpeculationThreshold = 2
 	}
-	if err := validateFailures(opts.Failures, cluster.Config.Machines()); err != nil {
-		return nil, err
-	}
-	if err := validateLinkFaults(opts.LinkFaults, cluster.Config.Racks); err != nil {
-		return nil, err
-	}
-	if err := validateAttrition(opts, cluster.Config.Machines()); err != nil {
-		return nil, err
-	}
-	if err := validateOverload(opts); err != nil {
+	if err := validateOptions(opts, m, cluster.Config.Racks); err != nil {
 		return nil, err
 	}
 	// Resolve defaults before buildSpec records the options, so a resumed
@@ -529,11 +521,14 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	// Attach tracing before any emission site (time-zero machine failures,
 	// input upload) can fire. An explicit Options.Trace wins; otherwise ask
 	// the process-wide collector, which returns nil (disabled) when no
-	// -trace flag installed one.
+	// -trace flag installed one. The probe observes whatever that yields;
+	// without an export tracer it gets a forward-only one that buffers
+	// nothing and stays off the Enabled-guarded paths.
 	rt.tr = opts.Trace
 	if rt.tr == nil {
 		rt.tr = trace.NewRun(fmt.Sprintf("sim/%s/seed%d", opts.Scheduler, opts.Seed))
 	}
+	rt.tr = trace.Observe(rt.tr, opts.Probe)
 	if rt.tr.Enabled() {
 		for mi := 0; mi < m; mi++ {
 			rt.tr.MachineMeta(mi, cluster.RackOf(mi))
@@ -550,7 +545,7 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 		// or capacity-infeasible rate becomes an invariant violation.
 		rt.net.OnAllocate = func() {
 			if err := rt.net.AuditFeasibility(1e-6); err != nil {
-				rt.probeAudit(err)
+				rt.tr.Audit(float64(sim.Now()), err.Error())
 			}
 		}
 	}
@@ -571,7 +566,6 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 			rt.dead[f] = true
 			rt.deadCount++
 			rt.freeSlots[f] = 0
-			rt.probe(invariants.MachineDown, f, -1)
 			rt.tr.MachineDown(0, f)
 			// Dead from time zero: no data was ever on them to repair, but
 			// the store must know not to place or read replicas there.
@@ -727,13 +721,11 @@ func (rt *runtime) start() {
 // event queue must have drained.
 func (rt *runtime) finish() (*Result, error) {
 	if rt.opts.Probe != nil {
-		// Final audits: incremental DFS accounting must agree with a from-
-		// scratch recount, then the monitor runs its end-of-simulation
-		// checks (no leaked attempts, every job terminal).
+		// Final audit: incremental DFS accounting must agree with a from-
+		// scratch recount.
 		if err := rt.store.AuditAccounting(); err != nil {
-			rt.probeAudit(err)
+			rt.tr.Audit(float64(rt.sim.Now()), err.Error())
 		}
-		rt.probe(invariants.SimEnd, -1, -1)
 	}
 
 	res := &Result{
@@ -777,6 +769,67 @@ func (rt *runtime) finish() (*Result, error) {
 		}
 	}
 	res.QuiesceTime = math.Max(res.Makespan, rt.lastRepairDone)
+	// The end-of-simulation event: an attached monitor runs its final
+	// checks (no leaked attempts, every job terminal) here.
 	rt.tr.SimEnd(res.QuiesceTime)
 	return res, nil
+}
+
+// validateOptions checks the options at startup, naming the offending
+// field. Every float must be finite and in range: each bound is written as
+// the interval the value must lie in, since NaN fails every comparison and
+// would slip past a `v < 0` test.
+func validateOptions(o Options, machines, racks int) error {
+	type bound struct {
+		field     string
+		v, lo, hi float64
+	}
+	inf := math.Inf(1)
+	bounds := []bound{
+		{"BlockSize", o.BlockSize, -inf, inf},
+		{"StragglerFraction", o.StragglerFraction, 0, 1},
+		{"StragglerSlowdown", o.StragglerSlowdown, -inf, inf},
+		{"SpeculationThreshold", o.SpeculationThreshold, -inf, inf},
+		{"TaskFailureProb", o.TaskFailureProb, 0, 1},
+		{"PlannerBudget", o.PlannerBudget, 0, inf},
+		{"ReplanWindow", o.ReplanWindow, 0, inf},
+	}
+	for i, f := range o.Failures {
+		if f.Machine < 0 || f.Machine >= machines {
+			return fmt.Errorf("runtime: failure targets machine %d, out of range", f.Machine)
+		}
+		bounds = append(bounds, bound{fmt.Sprintf("Failures[%d].At", i), f.At, 0, inf},
+			bound{fmt.Sprintf("Failures[%d].Downtime", i), f.Downtime, 0, inf})
+	}
+	for i, lf := range o.LinkFaults {
+		if lf.Rack < 0 || lf.Rack >= racks {
+			return fmt.Errorf("runtime: link fault targets rack %d, out of range", lf.Rack)
+		}
+		bounds = append(bounds, bound{fmt.Sprintf("LinkFaults[%d].At", i), lf.At, 0, inf},
+			bound{fmt.Sprintf("LinkFaults[%d].Factor", i), lf.Factor, 0, inf})
+	}
+	for i, af := range o.AMFailures {
+		bounds = append(bounds, bound{fmt.Sprintf("AMFailures[%d].At", i), af.At, 0, inf})
+	}
+	for i, c := range o.Corruptions {
+		if c.Machine < 0 || c.Machine >= machines {
+			return fmt.Errorf("runtime: corruption targets machine %d, out of range", c.Machine)
+		}
+		bounds = append(bounds, bound{fmt.Sprintf("Corruptions[%d].At", i), c.At, 0, inf})
+	}
+	for _, b := range bounds {
+		if !(b.v >= b.lo && b.v <= b.hi) || math.IsInf(b.v, 0) {
+			return fmt.Errorf("runtime: %s is %g, want a finite value in [%g, %g]", b.field, b.v, b.lo, b.hi)
+		}
+	}
+	if o.AdmissionLimit < 0 {
+		return fmt.Errorf("runtime: negative AdmissionLimit %d", o.AdmissionLimit)
+	}
+	if o.AdmissionQueueCap < 0 {
+		return fmt.Errorf("runtime: negative AdmissionQueueCap %d", o.AdmissionQueueCap)
+	}
+	if o.AdmissionQueueCap > 0 && o.AdmissionLimit <= 0 {
+		return fmt.Errorf("runtime: AdmissionQueueCap requires AdmissionLimit > 0")
+	}
+	return nil
 }

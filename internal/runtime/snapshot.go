@@ -26,7 +26,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"corral/internal/invariants"
 	"corral/internal/job"
 	"corral/internal/netsim"
 	"corral/internal/snapshot"
@@ -101,7 +100,7 @@ func (t CheckpointTarget) String() string {
 // ResumeOptions reattaches the observer hooks a snapshot deliberately
 // excludes.
 type ResumeOptions struct {
-	Probe invariants.Probe
+	Probe trace.Observer
 	Trace *trace.Tracer
 }
 
@@ -184,8 +183,9 @@ func CaptureAt(opts Options, jobs []*job.Job, target CheckpointTarget) (*snapsho
 // replayed to Meta.EventIndex; the replayed state is then audited
 // field-by-field against the snapshot's State section. Any mismatch —
 // a corrupted snapshot, or a build whose semantics drifted from the
-// snapshotting build — is reported to the probe as an invariant violation
-// and returned as an error; the run never continues from unverified state.
+// snapshotting build — is traced as an audit failure (an invariant
+// violation to an attached probe) and returned as an error; the run never
+// continues from unverified state.
 func Resume(snap *snapshot.Snapshot, ro ResumeOptions) (*Result, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("runtime: resuming nil snapshot")
@@ -221,14 +221,14 @@ func Resume(snap *snapshot.Snapshot, ro ResumeOptions) (*Result, error) {
 		if !rt.sim.Step() {
 			err := fmt.Errorf("snapshot restore audit: event queue drained after %d events, snapshot taken at %d — spec does not reproduce the captured run",
 				rt.sim.Fired(), snap.Meta.EventIndex)
-			rt.probeAudit(err)
+			rt.tr.Audit(float64(rt.sim.Now()), err.Error())
 			return nil, err
 		}
 	}
 	if diffs := snapshot.DiffStates(rt.captureState(), &snap.State); len(diffs) > 0 {
 		err := fmt.Errorf("snapshot restore audit: replayed state diverges from captured state in %d field(s): %s",
 			len(diffs), diffs[0])
-		rt.probeAudit(err)
+		rt.tr.Audit(float64(rt.sim.Now()), err.Error())
 		return nil, err
 	}
 	// Restored state verified; re-run the DFS byte-conservation audit on it
@@ -236,7 +236,7 @@ func Resume(snap *snapshot.Snapshot, ro ResumeOptions) (*Result, error) {
 	// restored world, not just the events that follow.
 	if rt.opts.Probe != nil {
 		if err := rt.store.AuditAccounting(); err != nil {
-			rt.probeAudit(err)
+			rt.tr.Audit(float64(rt.sim.Now()), err.Error())
 		}
 	}
 	rt.sim.Run()

@@ -17,6 +17,9 @@
 //     package never reads the wall clock (corralvet's wallclock check
 //     runs over it), so a trace is a pure function of (config, jobs,
 //     seed).
+//   - One event stream. A run's lifecycle is described once, by these
+//     events: the invariant monitor (internal/invariants) is an Observer
+//     attached with Observe, not a second taxonomy emitted alongside.
 //   - Order invariance. Events within one run are buffered in emission
 //     order, which the DES makes deterministic. Across runs, export
 //     ordering is by (label, serialized content) — see collector.go — so
@@ -83,6 +86,9 @@ const (
 	KJobDeferred        // job, value=admission queue depth after the deferral
 	KJobShed            // job, value=admission queue depth at the shed
 
+	// Invariant checking.
+	KAudit // detail=failure message of an external invariant audit
+
 	numKinds
 )
 
@@ -128,6 +134,8 @@ var kindNames = [numKinds]string{
 	KReplanSuppressed:   "replan_suppressed",
 	KJobDeferred:        "job_deferred",
 	KJobShed:            "job_shed",
+
+	KAudit: "audit",
 }
 
 func (k Kind) String() string {
@@ -136,6 +144,9 @@ func (k Kind) String() string {
 	}
 	return "kind?"
 }
+
+// Valid reports whether k is one of the defined kinds.
+func (k Kind) Valid() bool { return k < numKinds }
 
 // Role distinguishes map from reduce attempts in task lifecycle events.
 type Role uint8
@@ -178,23 +189,69 @@ type Event struct {
 	Detail string
 }
 
+// Observer receives a run's events as they are emitted, in emission
+// order. It runs inside the simulation: it must be deterministic and must
+// not call back into the emitting run.
+type Observer interface {
+	Observe(Event)
+}
+
 // Tracer buffers the events of one simulation (or planner) run, in
-// emission order. A nil *Tracer is valid and discards everything — the
-// emit methods below are all nil-safe, which is the disabled fast path.
-// A Tracer is not goroutine-safe; each run owns its tracer exclusively
-// (runs fan out across workers, events within a run do not).
+// emission order, and hands each to its observer, if any. A nil *Tracer is
+// valid and discards everything — the emit methods below are all
+// nil-safe, which is the disabled fast path. A Tracer is not
+// goroutine-safe; each run owns its tracer exclusively (runs fan out
+// across workers, events within a run do not).
 type Tracer struct {
 	label  string
 	events []Event
+	obs    Observer
+	// forwardOnly marks a tracer built by Observe for a run without an
+	// export tracer: it hands events to obs and buffers nothing.
+	forwardOnly bool
+	// last is the latest timestamp emitted so far (see SimEnd).
+	last float64
 }
 
 // New creates a standalone tracer (outside any Collector).
 func New(label string) *Tracer { return &Tracer{label: label} }
 
-// Enabled reports whether emissions are recorded. Instrumentation sites
-// that must do extra work to build an event (fmt, per-link scans) guard
-// on this; plain emit calls rely on the methods' own nil checks.
-func (t *Tracer) Enabled() bool { return t != nil }
+// Observe makes o the sole observer of t's events (a nil o detaches any)
+// and returns the tracer the run should emit into. For a nil t and a
+// non-nil o that is a forward-only tracer: it passes every event to o,
+// buffers nothing and reports Enabled false, so a run that is observed
+// but not exported skips the export-only work, as an untraced run does.
+func Observe(t *Tracer, o Observer) *Tracer {
+	if t != nil {
+		t.obs = o
+		return t
+	}
+	if o == nil {
+		return nil
+	}
+	return &Tracer{obs: o, forwardOnly: true}
+}
+
+// Enabled reports whether emissions are recorded for export.
+// Instrumentation sites that must do extra work to build an event (fmt,
+// per-link scans, metadata) guard on this; plain emit calls rely on the
+// methods' own nil checks.
+func (t *Tracer) Enabled() bool { return t != nil && !t.forwardOnly }
+
+// emit hands e to the observer and buffers it for export.
+//
+//corral:hotpath
+func (t *Tracer) emit(e Event) {
+	if e.T > t.last {
+		t.last = e.T
+	}
+	if t.obs != nil {
+		t.obs.Observe(e)
+	}
+	if !t.forwardOnly {
+		t.events = append(t.events, e)
+	}
+}
 
 // Label returns the run label given at creation.
 func (t *Tracer) Label() string {
@@ -230,7 +287,7 @@ func (t *Tracer) MachineMeta(machine, rack int) {
 	e := unsetEvent(0, KMachineMeta)
 	e.Mach, e.Link = machine, -1
 	e.Src = rack // rack rides in Src: Event has no dedicated rack field
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // LinkMeta records a link's name and base capacity (timestamp 0).
@@ -242,7 +299,7 @@ func (t *Tracer) LinkMeta(link int, name string, capacity float64) {
 	}
 	e := unsetEvent(0, KLinkMeta)
 	e.Link, e.Value, e.Detail = link, capacity, name
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // JobSubmit records a job entering the scheduler.
@@ -254,7 +311,7 @@ func (t *Tracer) JobSubmit(now float64, job int, name string, slots int) {
 	}
 	e := unsetEvent(now, KJobSubmit)
 	e.Job, e.Value, e.Detail = job, float64(slots), name
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // JobDone records a job's last stage completing.
@@ -266,7 +323,7 @@ func (t *Tracer) JobDone(now float64, job int) {
 	}
 	e := unsetEvent(now, KJobDone)
 	e.Job = job
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // JobFail records a terminal job failure.
@@ -278,14 +335,14 @@ func (t *Tracer) JobFail(now float64, job int, reason string) {
 	}
 	e := unsetEvent(now, KJobFail)
 	e.Job, e.Detail = job, reason
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 //corral:hotpath
-func (t *Tracer) taskEvent(now float64, k Kind, role Role, job, stage, task, attempt, machine int) {
+func taskEvent(now float64, k Kind, role Role, job, stage, task, attempt, machine int) Event {
 	e := unsetEvent(now, k)
 	e.Role, e.Job, e.Stage, e.Task, e.Att, e.Mach = role, job, stage, task, attempt, machine
-	t.events = append(t.events, e)
+	return e
 }
 
 // TaskQueued records a task (re-)entering the pending queues.
@@ -295,7 +352,7 @@ func (t *Tracer) TaskQueued(now float64, role Role, job, stage, task, attempt in
 	if t == nil {
 		return
 	}
-	t.taskEvent(now, KTaskQueued, role, job, stage, task, attempt, -1)
+	t.emit(taskEvent(now, KTaskQueued, role, job, stage, task, attempt, -1))
 }
 
 // TaskStart records an attempt launching on a machine.
@@ -305,7 +362,7 @@ func (t *Tracer) TaskStart(now float64, role Role, job, stage, task, attempt, ma
 	if t == nil {
 		return
 	}
-	t.taskEvent(now, KTaskStart, role, job, stage, task, attempt, machine)
+	t.emit(taskEvent(now, KTaskStart, role, job, stage, task, attempt, machine))
 }
 
 // TaskFinish records an attempt completing; dur is its wall-clock
@@ -316,8 +373,9 @@ func (t *Tracer) TaskFinish(now float64, role Role, job, stage, task, attempt, m
 	if t == nil {
 		return
 	}
-	t.taskEvent(now, KTaskFinish, role, job, stage, task, attempt, machine)
-	t.events[len(t.events)-1].Value = dur
+	e := taskEvent(now, KTaskFinish, role, job, stage, task, attempt, machine)
+	e.Value = dur
+	t.emit(e)
 }
 
 // TaskCrash records an injected attempt crash.
@@ -327,7 +385,7 @@ func (t *Tracer) TaskCrash(now float64, role Role, job, stage, task, attempt, ma
 	if t == nil {
 		return
 	}
-	t.taskEvent(now, KTaskCrash, role, job, stage, task, attempt, machine)
+	t.emit(taskEvent(now, KTaskCrash, role, job, stage, task, attempt, machine))
 }
 
 // TaskAbort records an attempt killed by failure/speculation/AM restart.
@@ -337,7 +395,7 @@ func (t *Tracer) TaskAbort(now float64, role Role, job, stage, task, attempt, ma
 	if t == nil {
 		return
 	}
-	t.taskEvent(now, KTaskAbort, role, job, stage, task, attempt, machine)
+	t.emit(taskEvent(now, KTaskAbort, role, job, stage, task, attempt, machine))
 }
 
 // TaskBackoff records the retry backoff delay before a crashed task
@@ -348,8 +406,9 @@ func (t *Tracer) TaskBackoff(now float64, role Role, job, stage, task, attempt i
 	if t == nil {
 		return
 	}
-	t.taskEvent(now, KTaskBackoff, role, job, stage, task, attempt, -1)
-	t.events[len(t.events)-1].Value = delay
+	e := taskEvent(now, KTaskBackoff, role, job, stage, task, attempt, -1)
+	e.Value = delay
+	t.emit(e)
 }
 
 // ShuffleDone records a reduce attempt's shuffle phase completing.
@@ -359,7 +418,7 @@ func (t *Tracer) ShuffleDone(now float64, job, stage, task, machine int) {
 	if t == nil {
 		return
 	}
-	t.taskEvent(now, KShuffleDone, RoleReduce, job, stage, task, -1, machine)
+	t.emit(taskEvent(now, KShuffleDone, RoleReduce, job, stage, task, -1, machine))
 }
 
 // SlotsBusy samples the cluster-wide occupied-slot counter.
@@ -371,14 +430,14 @@ func (t *Tracer) SlotsBusy(now float64, busy int) {
 	}
 	e := unsetEvent(now, KSlotsBusy)
 	e.Value = float64(busy)
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 //corral:hotpath
 func (t *Tracer) machineEvent(now float64, k Kind, machine int) {
 	e := unsetEvent(now, k)
 	e.Mach = machine
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // MachineDown records a machine failure.
@@ -431,7 +490,7 @@ func (t *Tracer) AMFail(now float64, job int) {
 	}
 	e := unsetEvent(now, KAMFail)
 	e.Job = job
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // AMRestart records a restarted AM resuming its job.
@@ -443,7 +502,7 @@ func (t *Tracer) AMRestart(now float64, job int) {
 	}
 	e := unsetEvent(now, KAMRestart)
 	e.Job = job
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // Replan records a failure-triggered planner re-invocation covering n jobs.
@@ -455,20 +514,23 @@ func (t *Tracer) Replan(now float64, jobs int) {
 	}
 	e := unsetEvent(now, KReplan)
 	e.Value = float64(jobs)
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
-// SimEnd records the run's quiesce time (last job completion or repair
-// commit, whichever is later).
+// SimEnd closes the run's stream with its quiesce time (last job
+// completion or repair commit, whichever is later) as the value. Events
+// can follow the quiesce time — a machine recovering after the last job,
+// say — so the stamp is the later of the quiesce time and the latest
+// event before it, and the stream never runs backwards.
 //
 //corral:hotpath
 func (t *Tracer) SimEnd(quiesce float64) {
 	if t == nil {
 		return
 	}
-	e := unsetEvent(quiesce, KSimEnd)
+	e := unsetEvent(max(quiesce, t.last), KSimEnd)
 	e.Value = quiesce
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // FlowStart records a network flow starting. src/dst are -1 for
@@ -484,7 +546,7 @@ func (t *Tracer) FlowStart(now float64, flow int64, job, src, dst int, bytes flo
 	if cross {
 		e.Detail = "cross"
 	}
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // FlowFinish records a flow completing its bytes.
@@ -496,7 +558,7 @@ func (t *Tracer) FlowFinish(now float64, flow int64, bytes float64) {
 	}
 	e := unsetEvent(now, KFlowFinish)
 	e.Flow, e.Value = flow, bytes
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // FlowCancel records a flow aborted mid-transfer; sent is what crossed
@@ -509,7 +571,7 @@ func (t *Tracer) FlowCancel(now float64, flow int64, sent float64) {
 	}
 	e := unsetEvent(now, KFlowCancel)
 	e.Flow, e.Value = flow, sent
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // FlowRate records a flow's allocated rate changing at a recompute point.
@@ -521,7 +583,7 @@ func (t *Tracer) FlowRate(now float64, flow int64, rate float64) {
 	}
 	e := unsetEvent(now, KFlowRate)
 	e.Flow, e.Value = flow, rate
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // LinkUtil samples a link's utilization fraction at a recompute point
@@ -534,7 +596,7 @@ func (t *Tracer) LinkUtil(now float64, link int, util float64) {
 	}
 	e := unsetEvent(now, KLinkUtil)
 	e.Link, e.Value = link, util
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // LinkCap records a link-fault capacity change.
@@ -546,7 +608,7 @@ func (t *Tracer) LinkCap(now float64, link int, capacity float64) {
 	}
 	e := unsetEvent(now, KLinkCap)
 	e.Link, e.Value = link, capacity
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // DFSCreate records a file being placed into the block store.
@@ -558,7 +620,7 @@ func (t *Tracer) DFSCreate(now float64, name string, bytes float64) {
 	}
 	e := unsetEvent(now, KDFSCreate)
 	e.Value, e.Detail = bytes, name
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // DFSCorrupt records a replica on a machine going silently corrupt.
@@ -570,7 +632,7 @@ func (t *Tracer) DFSCorrupt(now float64, machine int, bytes float64) {
 	}
 	e := unsetEvent(now, KDFSCorrupt)
 	e.Mach, e.Value = machine, bytes
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // BlockRead records a remote DFS block read; failover marks a read that
@@ -586,7 +648,7 @@ func (t *Tracer) BlockRead(now float64, job, reader, replica int, bytes float64,
 	if failover {
 		e.Detail = "failover"
 	}
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // RepairStart records the re-replication daemon launching a copy.
@@ -598,7 +660,7 @@ func (t *Tracer) RepairStart(now float64, src, dst int, bytes float64) {
 	}
 	e := unsetEvent(now, KRepairStart)
 	e.Src, e.Dst, e.Value = src, dst, bytes
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // RepairCommit records a repair copy landing in the store.
@@ -610,7 +672,7 @@ func (t *Tracer) RepairCommit(now float64, src, dst int, bytes float64) {
 	}
 	e := unsetEvent(now, KRepairCommit)
 	e.Src, e.Dst, e.Value = src, dst, bytes
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // PlanStart records a planner invocation over n jobs. now is simulation
@@ -623,7 +685,7 @@ func (t *Tracer) PlanStart(now float64, jobs int, objective string) {
 	}
 	e := unsetEvent(now, KPlanStart)
 	e.Value, e.Detail = float64(jobs), objective
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // PlanAssign records one job's planned rack set, priority and start.
@@ -636,7 +698,7 @@ func (t *Tracer) PlanAssign(now float64, job, priority int, start float64, racks
 	e := unsetEvent(now, KPlanAssign)
 	e.Job, e.Att, e.Value = job, priority, start
 	e.Detail = formatRacks(racks)
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // PlanDone records the plan's estimated objective value.
@@ -648,7 +710,7 @@ func (t *Tracer) PlanDone(now float64, objective float64) {
 	}
 	e := unsetEvent(now, KPlanDone)
 	e.Value = objective
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // PlanBudgetExceeded records a replan decision whose estimated full-plan
@@ -661,7 +723,7 @@ func (t *Tracer) PlanBudgetExceeded(now float64, cost float64) {
 	}
 	e := unsetEvent(now, KPlanBudgetExceeded)
 	e.Value = cost
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // Degrade records a fallback-chain step: tier 1 is the commitments-only
@@ -675,7 +737,7 @@ func (t *Tracer) Degrade(now float64, tier, jobs int) {
 	}
 	e := unsetEvent(now, KDegrade)
 	e.Att, e.Value = tier, float64(jobs)
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // ReplanSuppressed records a replan request absorbed by the storm
@@ -688,7 +750,7 @@ func (t *Tracer) ReplanSuppressed(now float64, fireAt float64) {
 	}
 	e := unsetEvent(now, KReplanSuppressed)
 	e.Value = fireAt
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // JobDeferred records an arrival parked in the admission queue; depth is
@@ -701,7 +763,7 @@ func (t *Tracer) JobDeferred(now float64, job, depth int) {
 	}
 	e := unsetEvent(now, KJobDeferred)
 	e.Job, e.Value = job, float64(depth)
-	t.events = append(t.events, e)
+	t.emit(e)
 }
 
 // JobShed records an arrival rejected because the admission queue is at
@@ -714,7 +776,20 @@ func (t *Tracer) JobShed(now float64, job, depth int) {
 	}
 	e := unsetEvent(now, KJobShed)
 	e.Job, e.Value = job, float64(depth)
-	t.events = append(t.events, e)
+	t.emit(e)
+}
+
+// Audit records a failed invariant audit (per-link rate feasibility, DFS
+// byte accounting, a snapshot restore check); msg says what failed.
+//
+//corral:hotpath
+func (t *Tracer) Audit(now float64, msg string) {
+	if t == nil {
+		return
+	}
+	e := unsetEvent(now, KAudit)
+	e.Detail = msg
+	t.emit(e)
 }
 
 // formatRacks renders a rack set as "r0 r2 r5".

@@ -29,7 +29,7 @@ func emitAll(t *Tracer) {
 	t.AMFail(6.6, 1)
 	t.AMRestart(6.9, 1)
 	t.Replan(7, 3)
-	t.SimEnd(10.25)
+	t.SimEnd(9.25)
 	t.FlowStart(1.1, 42, 0, 3, 5, 1<<20, true)
 	t.FlowFinish(1.9, 42, 1<<20)
 	t.FlowCancel(1.95, 43, 512)
@@ -44,10 +44,11 @@ func emitAll(t *Tracer) {
 	t.PlanStart(0, 5, "makespan")
 	t.PlanAssign(0, 0, 1, 0.0, []int{0, 2})
 	t.PlanDone(0, 123.5)
+	t.Audit(10.5, "link 4 oversubscribed")
 }
 
 // emitAllCount must track emitAll: one event per call above.
-const emitAllCount = 35
+const emitAllCount = 36
 
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
@@ -149,6 +150,54 @@ func TestJSONLValid(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"detail":"r0 r2"`) {
 		t.Error("plan_assign rack-set format drifted")
+	}
+	if !strings.Contains(buf.String(), `{"t":9.6,"ev":"sim_end","value":9.25}`) {
+		t.Error("sim_end must be stamped no earlier than the events before it, with the quiesce time as value")
+	}
+	if !strings.Contains(buf.String(), `{"t":10.5,"ev":"audit","detail":"link 4 oversubscribed"}`) {
+		t.Error("audit line format drifted")
+	}
+}
+
+// recorder is an Observer that keeps what it is handed.
+type recorder struct{ events []Event }
+
+func (r *recorder) Observe(e Event) { r.events = append(r.events, e) }
+
+// TestObserve: an observer attached to an export tracer sees exactly what
+// it buffers; without one it gets a forward-only tracer that buffers
+// nothing and reports Enabled false, so export-only work stays skipped.
+func TestObserve(t *testing.T) {
+	if Observe(nil, nil) != nil {
+		t.Fatal("Observe(nil, nil) must stay the disabled nil tracer")
+	}
+
+	rec := &recorder{}
+	tr := Observe(New("both"), rec)
+	emitAll(tr)
+	if len(tr.Events()) != emitAllCount || len(rec.events) != emitAllCount {
+		t.Fatalf("buffered %d, observed %d; want %d each", len(tr.Events()), len(rec.events), emitAllCount)
+	}
+	for i := range rec.events {
+		if rec.events[i] != tr.Events()[i] {
+			t.Fatalf("event %d: observed %+v, buffered %+v", i, rec.events[i], tr.Events()[i])
+		}
+	}
+	Observe(tr, nil)
+	tr.JobDone(11, 0)
+	if len(rec.events) != emitAllCount {
+		t.Fatal("a detached observer still received events")
+	}
+
+	rec = &recorder{}
+	fwd := Observe(nil, rec)
+	emitAll(fwd)
+	if fwd.Enabled() || fwd.Events() != nil || len(rec.events) != emitAllCount {
+		t.Fatalf("forward-only tracer: enabled %v, buffered %d, observed %d; want false, 0, %d",
+			fwd.Enabled(), len(fwd.Events()), len(rec.events), emitAllCount)
+	}
+	if !KAudit.Valid() || Kind(numKinds).Valid() {
+		t.Fatal("Kind.Valid must accept exactly the defined kinds")
 	}
 }
 
