@@ -277,6 +277,7 @@ func Replan(cluster ClusterConfig, jobs []*Job, now float64, commitments []Commi
 		Jobs:      planned,
 		Alpha:     -1,
 		Objective: planner.MinimizeAvgCompletion,
+		TraceTime: now,
 	}, now, commitments)
 }
 

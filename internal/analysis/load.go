@@ -32,7 +32,8 @@ type LoadConfig struct {
 	// Tests includes _test.go files. In-package test files are checked
 	// together with their package; external (_test-suffixed package)
 	// files are checked as their own package against that augmented
-	// instance, mirroring `go test` compilation.
+	// instance, and so are the packages they import that import it,
+	// mirroring `go test` compilation.
 	Tests bool
 }
 
@@ -107,9 +108,15 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 			aug.Module = modPath
 			out = append(out, aug)
 			if len(extNames) > 0 {
+				// As go test does, the external tests see one instance
+				// of each package: the augmented one for ip, and the
+				// packages importing ip checked again against it.
+				canonical := ld.full
+				ld.full = withoutImporters(canonical, ip)
 				ld.overrides[ip] = aug.Types
 				ext, err := ld.checkFiles(ip+"_test", d, extNames)
 				delete(ld.overrides, ip)
+				ld.full = canonical
 				if err != nil {
 					return nil, err
 				}
@@ -120,6 +127,33 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
+}
+
+// withoutImporters returns a copy of the package cache without the
+// packages that import path, directly or through others.
+func withoutImporters(full map[string]*Package, path string) map[string]*Package {
+	memo := map[*types.Package]bool{}
+	var reaches func(*types.Package) bool
+	reaches = func(p *types.Package) bool {
+		if v, ok := memo[p]; ok {
+			return v
+		}
+		memo[p] = false
+		for _, q := range p.Imports() {
+			if q.Path() == path || reaches(q) {
+				memo[p] = true
+				return true
+			}
+		}
+		return false
+	}
+	out := make(map[string]*Package, len(full))
+	for k, p := range full {
+		if !reaches(p.Types) {
+			out[k] = p
+		}
+	}
+	return out
 }
 
 // findModule walks up from dir to the enclosing go.mod and returns its

@@ -91,6 +91,34 @@ func TestLoadWithTests(t *testing.T) {
 	}
 }
 
+// TestLoadExternalTestSharesImporters: an external test importing both
+// the package under test and a package that imports it must see one
+// instance of each type, as go test compiles the importer against the
+// test-augmented package. Package a makes the loader check r before s.
+func TestLoadExternalTestSharesImporters(t *testing.T) {
+	dir := writeTree(t, map[string]string{
+		"go.mod":                  "module example/mini\n\ngo 1.22\n",
+		"internal/a/a.go":         "package a\n\nimport \"example/mini/internal/r\"\n\nvar A = r.Capture\n",
+		"internal/j/j.go":         "package j\n\ntype Job struct{ ID int }\n",
+		"internal/s/s.go":         "package s\n\nimport \"example/mini/internal/j\"\n\ntype Snap struct{ Job *j.Job }\n",
+		"internal/s/help_test.go": "package s\n\nfunc helper() *Snap { return &Snap{} }\n",
+		"internal/r/r.go":         "package r\n\nimport (\n\t\"example/mini/internal/j\"\n\t\"example/mini/internal/s\"\n)\n\nfunc Capture() *s.Snap { return &s.Snap{Job: &j.Job{}} }\n\nfunc Job(x *s.Snap) *j.Job { return x.Job }\n",
+		"internal/s/ext_test.go": "package s_test\n\nimport (\n\t\"example/mini/internal/j\"\n\t\"example/mini/internal/r\"\n\t\"example/mini/internal/s\"\n)\n\n" +
+			"var snap *s.Snap = r.Capture()\n\nvar job *j.Job = r.Job(snap)\n",
+	})
+	pkgs, err := Load(LoadConfig{Dir: dir, Tests: true}, "./...")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	found := false
+	for _, p := range pkgs {
+		found = found || p.Path == "example/mini/internal/s_test"
+	}
+	if !found {
+		t.Fatal("external test package not loaded")
+	}
+}
+
 func TestLoadOnRealRepoFindsAnnotatedSites(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")

@@ -223,6 +223,7 @@ func ExtReplan(p Params) (*Report, error) {
 		Jobs:      wave2,
 		Alpha:     -1,
 		Objective: planner.MinimizeAvgCompletion,
+		TraceTime: at,
 	}
 	plan2, err := planner.Replan(in2, at, commitments)
 	if err != nil {

@@ -123,9 +123,7 @@ func (m *Monitor) machineOK(e trace.Event) bool {
 }
 
 // lifecycle marks the kinds the invariants read. The rest — metadata,
-// flows, counters, planner decisions — pass unexamined, the time check
-// included: a budgeted replan's plan_* events carry the time its plan
-// lands, ahead of the events that follow them.
+// flows, counters, planner decisions — pass the time check alone.
 var lifecycle = [...]bool{
 	trace.KJobSubmit: true, trace.KJobDone: true, trace.KJobFail: true,
 	trace.KTaskStart: true, trace.KTaskFinish: true, trace.KTaskCrash: true, trace.KTaskAbort: true,
@@ -142,9 +140,6 @@ func (m *Monitor) Observe(e trace.Event) {
 		m.Violationf("t=%.3f: unknown event kind %d", e.T, int(e.Kind))
 		return
 	}
-	if int(e.Kind) >= len(lifecycle) || !lifecycle[e.Kind] {
-		return
-	}
 	if m.sawEvent && e.T < m.lastTime {
 		m.Violationf("t=%.3f %v: event time went backwards (last %.3f)", e.T, e.Kind, m.lastTime)
 	}
@@ -152,6 +147,9 @@ func (m *Monitor) Observe(e trace.Event) {
 		m.lastTime = e.T
 	}
 	m.sawEvent = true
+	if int(e.Kind) >= len(lifecycle) || !lifecycle[e.Kind] {
+		return
+	}
 
 	switch e.Kind {
 	case trace.KJobSubmit:

@@ -76,12 +76,18 @@ func TestDeadAndBlacklistedPlacement(t *testing.T) {
 	}
 }
 
-// TestTimeMonotonicity: a decreasing event time must fire.
+// TestTimeMonotonicity: a decreasing event time must fire, whether or not
+// any other invariant reads the event's kind.
 func TestTimeMonotonicity(t *testing.T) {
 	m := NewMonitor(1, 1)
 	m.Observe(ev(5, trace.KJobSubmit, -1, 1))
 	m.Observe(ev(4, trace.KJobSubmit, -1, 2))
 	assertViolation(t, m, "went backwards")
+
+	m2 := NewMonitor(1, 1)
+	m2.Observe(ev(5, trace.KPlanDone, -1, -1))
+	m2.Observe(ev(4, trace.KFlowRate, -1, -1))
+	assertViolation(t, m2, "went backwards")
 }
 
 // TestTerminality: double-terminal and never-terminal jobs must fire.
@@ -242,8 +248,7 @@ func TestShedTerminality(t *testing.T) {
 
 // TestKindCoverage: defined kinds no invariant reads pass without a
 // violation — machine-less ones included, so nothing is range-checked by
-// accident, and ahead-of-time ones, so they do not trip the time check —
-// while a kind value outside the taxonomy fires.
+// accident — while a kind value outside the taxonomy fires.
 func TestKindCoverage(t *testing.T) {
 	m := NewMonitor(2, 2)
 	for _, k := range []trace.Kind{trace.KMachineMeta, trace.KTaskQueued, trace.KSlotsBusy,
@@ -251,7 +256,7 @@ func TestKindCoverage(t *testing.T) {
 		trace.KPlanAssign, trace.KDegrade, trace.KReplanSuppressed} {
 		m.Observe(ev(1, k, -1, 5))
 	}
-	m.Observe(ev(1.5, trace.KPlanStart, -1, -1)) // a budgeted replan's plan lands at 1.5
+	m.Observe(ev(1, trace.KPlanStart, -1, -1))
 	m.Observe(ev(1, trace.KJobSubmit, -1, 5))
 	if n := m.ViolationCount(); n != 0 {
 		t.Fatalf("unchecked kinds produced %d violations: %v", n, m.Violations())

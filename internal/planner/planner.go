@@ -73,7 +73,8 @@ type Input struct {
 	// this invocation. When nil, New and Replan ask the process-wide trace
 	// collector for a run tracer (nil again keeps tracing disabled).
 	// TraceTime stamps the events: 0 for offline planning, the current
-	// simulated time for failure-triggered replans.
+	// simulated time for replans (a budgeted replan's now is the later
+	// time its plan lands, but its events are stamped when it starts).
 	Trace     *trace.Tracer
 	TraceTime float64
 	// Work, if set, has the provisioning phase's work counters added to
@@ -144,15 +145,14 @@ func New(in Input) (*Plan, error) {
 	if in.Cluster.Racks <= 0 {
 		return nil, fmt.Errorf("planner: cluster has %d racks", in.Cluster.Racks)
 	}
-	return planTwoPhase(in, in.TraceTime, nil)
+	return planTwoPhase(in, nil)
 }
 
 // planTwoPhase is the shared core behind New, Replan and the public
 // wrappers: validate, provision, run the final prioritization,
 // materialize. initF seeds per-rack availability times (Replan
-// commitments); nil means every rack free at time zero. now stamps trace
-// events.
-func planTwoPhase(in Input, now float64, initF []float64) (*Plan, error) {
+// commitments); nil means every rack free at time zero.
+func planTwoPhase(in Input, initF []float64) (*Plan, error) {
 	J := len(in.Jobs)
 	plan := &Plan{Assignments: make(map[int]*Assignment, J), Objective: in.Objective}
 	if J == 0 {
@@ -164,7 +164,7 @@ func planTwoPhase(in Input, now float64, initF []float64) (*Plan, error) {
 		return nil, fmt.Errorf("planner: %w", err)
 	}
 	tr := in.tracer()
-	tr.PlanStart(now, J, in.Objective.String())
+	tr.PlanStart(in.TraceTime, J, in.Objective.String())
 	alpha := in.Alpha
 	if alpha < 0 {
 		alpha = in.Cluster.DefaultAlpha()
@@ -195,7 +195,7 @@ func planTwoPhase(in Input, now float64, initF []float64) (*Plan, error) {
 	}
 	plan.Makespan = final.makespan
 	plan.AvgCompletion = final.avgCompletion
-	traceAssignments(tr, now, plan)
+	traceAssignments(tr, in.TraceTime, plan)
 	return plan, nil
 }
 

@@ -90,7 +90,7 @@ func Replan(in Input, now float64, commitments []Commitment) (*Plan, error) {
 		return nil, fmt.Errorf("planner: %w", err)
 	}
 	in.Jobs = clampArrivals(in.Jobs, now)
-	return planTwoPhase(in, now, initF)
+	return planTwoPhase(in, initF)
 }
 
 // ReplanIncremental is the budget-constrained middle tier of the fallback
@@ -122,7 +122,7 @@ func ReplanIncremental(in Input, now float64, commitments []Commitment, widths m
 	}
 	in.Jobs = clampArrivals(in.Jobs, now)
 	tr := in.tracer()
-	tr.PlanStart(now, J, in.Objective.String())
+	tr.PlanStart(in.TraceTime, J, in.Objective.String())
 	alpha := in.Alpha
 	if alpha < 0 {
 		alpha = in.Cluster.DefaultAlpha()
@@ -157,7 +157,7 @@ func ReplanIncremental(in Input, now float64, commitments []Commitment, widths m
 	}
 	plan.Makespan = final.makespan
 	plan.AvgCompletion = final.avgCompletion
-	traceAssignments(tr, now, plan)
+	traceAssignments(tr, in.TraceTime, plan)
 	return plan, nil
 }
 

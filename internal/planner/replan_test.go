@@ -236,3 +236,31 @@ func TestPlanTraceBalancedOnValidationError(t *testing.T) {
 		}
 	}
 }
+
+// Regression: a budgeted replan plans against the state at the time its
+// plan lands (now) but starts earlier; its plan_* events used to carry
+// now and run ahead of the events that followed them. They carry
+// Input.TraceTime.
+func TestReplanStampsTraceTime(t *testing.T) {
+	c := testClusterModel()
+	jobs := jobsOf(mkJob(1, 10, 10, 5, 10, 5), mkJob(2, 20, 30, 5, 20, 10))
+	calls := []func(in Input) error{
+		func(in Input) error { _, err := Replan(in, 100, nil); return err },
+		func(in Input) error { _, err := ReplanIncremental(in, 100, nil, nil); return err },
+	}
+	for i, call := range calls {
+		tr := trace.New("test")
+		if err := call(Input{Cluster: c, Jobs: jobs, Trace: tr, TraceTime: 90}); err != nil {
+			t.Fatal(err)
+		}
+		evs := tr.Events()
+		if len(evs) == 0 {
+			t.Fatalf("call %d: no plan events", i)
+		}
+		for _, e := range evs {
+			if e.T != 90 {
+				t.Fatalf("call %d: %v stamped t=%g, want the TraceTime 90", i, e.Kind, e.T)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -190,6 +191,37 @@ func TestDispatchDigestsMatchParent(t *testing.T) {
 	}
 }
 
+// refSource is math/rand's own seeded source with a draw count: the
+// reference the inline generator and its Int31n draws are checked against.
+type refSource struct {
+	src   rand.Source64
+	draws uint64
+}
+
+func newRefSource(seed int64) *refSource {
+	return &refSource{src: rand.NewSource(seed).(rand.Source64)}
+}
+
+func (r *refSource) Int63() int64    { r.draws++; return r.src.Int63() }
+func (r *refSource) Uint64() uint64  { r.draws++; return r.src.Uint64() }
+func (r *refSource) Seed(seed int64) { r.draws = 0; r.src.Seed(seed) }
+
+func TestCountingSourceMatchesMathRand(t *testing.T) {
+	// 1<<31-1 is the seed math/rand maps to its zero-seed default.
+	for _, seed := range []int64{0, 1, -3, 1 << 40, 1<<31 - 1, 1000003} {
+		mine := newCountingSource(seed)
+		ref := rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < 1<<20; i++ {
+			if got, want := mine.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("seed %d: draw %d = %#x, math/rand %#x", seed, i, got, want)
+			}
+		}
+		if mine.draws != 1<<20 {
+			t.Fatalf("seed %d: %d draws counted, want %d", seed, mine.draws, 1<<20)
+		}
+	}
+}
+
 func TestCountingSourceIntnMatchesRand(t *testing.T) {
 	var ns []int
 	for n := 1; n <= 10001; n++ {
@@ -206,14 +238,16 @@ func TestCountingSourceIntnMatchesRand(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 7, 42, -3, 1 << 40} {
 		mine := newCountingSource(seed)
-		ref := newCountingSource(seed)
+		ref := newRefSource(seed)
 		rng := rand.New(ref)
+		var got [1]int32
 		for _, n := range ns {
-			if got, want := mine.intn(n), rng.Intn(n); got != want {
-				t.Fatalf("seed %d: intn(%d) = %d, rand.Intn = %d", seed, n, got, want)
+			mine.int31ns(got[:], int32(n))
+			if want := rng.Intn(n); int(got[0]) != want {
+				t.Fatalf("seed %d: Int31n(%d) = %d, rand.Intn = %d", seed, n, got[0], want)
 			}
 			if mine.draws != ref.draws {
-				t.Fatalf("seed %d: after intn(%d) %d draws, rand.Intn %d", seed, n, mine.draws, ref.draws)
+				t.Fatalf("seed %d: after Int31n(%d) %d draws, rand.Intn %d", seed, n, mine.draws, ref.draws)
 			}
 		}
 		if mine.draws <= uint64(len(ns)) {
@@ -222,8 +256,29 @@ func TestCountingSourceIntnMatchesRand(t *testing.T) {
 	}
 }
 
-func TestShuffleOrderPosInverse(t *testing.T) {
-	// 100 machines: positions span two bitmap words.
+func TestFisherYatesMatchesIntn(t *testing.T) {
+	for _, m := range []int{2000, 10000} {
+		for _, seed := range []int64{1, 1000003} {
+			mine := newCountingSource(seed)
+			ref := newRefSource(seed)
+			rng := rand.New(ref)
+			js := make([]int32, m)
+			for pass := 0; pass < 3; pass++ {
+				mine.fisherYates(js)
+				for i := m - 1; i > 0; i-- {
+					if want := rng.Intn(i + 1); int(js[i]) != want {
+						t.Fatalf("M=%d seed %d pass %d: js[%d] = %d, rand.Intn(%d) = %d", m, seed, pass, i, js[i], i+1, want)
+					}
+				}
+				if mine.draws != ref.draws {
+					t.Fatalf("M=%d seed %d pass %d: %d draws, rand.Intn %d", m, seed, pass, mine.draws, ref.draws)
+				}
+			}
+		}
+	}
+}
+
+func TestShuffleGathersCandidatesInOrder(t *testing.T) {
 	topo := smallTopo()
 	topo.Racks, topo.MachinesPerRack = 20, 5
 	rt, err := newRuntime(Options{Topology: topo, BlockSize: 64e6, Seed: 5}, nil)
@@ -231,31 +286,63 @@ func TestShuffleOrderPosInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	pick := rand.New(rand.NewSource(9))
-	racks := len(rt.rackMarked)
+	racks, machines := topo.Racks, topo.Machines()
 	for pass := 0; pass < 500; pass++ {
-		rt.shuffleMachineOrder()
-		for i, m := range rt.machineOrder {
-			if rt.orderPos[m] != i {
-				t.Fatalf("pass %d: orderPos[%d] = %d, machine sits at %d", pass, m, rt.orderPos[m], i)
-			}
+		n := pick.Intn(racks + 1)
+		switch pass {
+		case 0:
+			n = 0
+		case 1:
+			n = racks
 		}
 		in := make([]bool, racks)
-		rt.candRacks = rt.candRacks[:0]
-		for _, r := range pick.Perm(racks)[:pick.Intn(racks+1)] {
+		for _, r := range pick.Perm(racks)[:n] {
 			in[r] = true
-			rt.candRacks = append(rt.candRacks, r)
 		}
-		var want []int
+		for m := range rt.candidate {
+			rt.candidate[m] = in[m/topo.MachinesPerRack]
+		}
+		got := slices.Clone(rt.shuffleMachineOrder(false))
+		var want []int32
+		seen := make([]bool, machines)
 		for _, m := range rt.machineOrder {
-			if in[rt.cluster.RackOf(m)] {
+			if seen[m] {
+				t.Fatalf("pass %d: machine %d twice in the heartbeat order", pass, m)
+			}
+			seen[m] = true
+			if in[int(m)/topo.MachinesPerRack] {
 				want = append(want, m)
 			}
 		}
-		if got := rt.candidateOrder(); !slices.Equal(got, want) {
-			t.Fatalf("pass %d, racks %v: candidate order %v, want %v", pass, rt.candRacks, got, want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("pass %d, %d racks: candidate order %v, want %v", pass, n, got, want)
 		}
 	}
 }
+
+// BenchmarkDispatchShuffle times one dispatch pass's heartbeat shuffle
+// (draws, swaps and a candidate gather over one rack in 20) per op.
+func BenchmarkDispatchShuffle(b *testing.B) {
+	for _, racks := range []int{100, 500} {
+		topo := smallTopo()
+		topo.Racks, topo.MachinesPerRack = racks, 20
+		b.Run(fmt.Sprintf("machines=%d", topo.Machines()), func(b *testing.B) {
+			rt, err := newRuntime(Options{Topology: topo, BlockSize: 64e6, Seed: 1}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for m := range rt.candidate {
+				rt.candidate[m] = m/topo.MachinesPerRack%20 == 0
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				shuffleSink = rt.shuffleMachineOrder(false)
+			}
+		})
+	}
+}
+
+var shuffleSink []int32
 
 // TestDispatchPassAllocatesNothing runs dispatch on a warm runtime whose
 // runnable job has every slot of its one allowed rack busy, while the

@@ -364,8 +364,8 @@ type runtime struct {
 	dead         []bool
 	deadCount    int
 	running      [][]*runningTask // per-machine in-flight attempts
-	machineOrder []int            // heartbeat visit order, reshuffled per pass
-	orderPos     []int            // inverse of machineOrder: orderPos[m] is m's position
+	machineOrder []int32          // heartbeat visit order, reshuffled per pass
+	shuffleDraws []int32          // one pass's Fisher-Yates draws (fisherYates)
 
 	// tkArena is the chunked attempt arena (newRunningTask): objects are
 	// handed out chunk-by-chunk and never recycled.
@@ -413,14 +413,11 @@ type runtime struct {
 	// runnableJobs is dispatch's per-pass scratch: the byOrder subsequence
 	// with runnable tasks, rebuilt at the top of every dispatch.
 	runnableJobs []*jobExec
-	// Candidate racks of the current dispatch (the union of the runnable
-	// jobs' allowedRacks, marked in rackMarked), and candidateOrder's
-	// scratch: a bitmap over machineOrder positions and the list of the
-	// racks' machines in heartbeat order.
-	candRacks    []int
-	rackMarked   []bool
-	posBits      []uint64
-	candMachines []int
+	// Candidate machines of the current dispatch (those of the racks in
+	// the union of the runnable jobs' allowedRacks), and the list of them
+	// in heartbeat order that shuffleMachineOrder gathers.
+	candidate    []bool
+	candMachines []int32
 
 	dispatchPending bool
 	retryPending    bool
@@ -506,14 +503,12 @@ func newRuntime(opts Options, jobs []*job.Job) (*runtime, error) {
 	// dropped in the done callback or cleared on abort), so retired flow
 	// objects are recycled instead of churning the GC.
 	rt.net.SetFlowPooling(true)
-	rt.machineOrder = make([]int, m)
-	rt.orderPos = make([]int, m)
-	rt.rackMarked = make([]bool, cluster.Config.Racks)
-	rt.posBits = make([]uint64, (m+63)/64)
+	rt.machineOrder = make([]int32, m)
+	rt.shuffleDraws = make([]int32, m)
+	rt.candidate = make([]bool, m)
 	for i := range rt.freeSlots {
 		rt.freeSlots[i] = cluster.Config.SlotsPerMachine
-		rt.machineOrder[i] = i
-		rt.orderPos[i] = i
+		rt.machineOrder[i] = int32(i)
 	}
 	rt.blacklisted = make([]bool, m)
 	rt.machineFailures = make([]int, m)

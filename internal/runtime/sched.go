@@ -1,7 +1,7 @@
 package runtime
 
 import (
-	"math/bits"
+	"slices"
 
 	"corral/internal/des"
 )
@@ -18,68 +18,66 @@ import (
 // job accepts rack-local slots, after DelayRackLocal any slot.
 
 // shuffleMachineOrder re-permutes the heartbeat order (Fisher-Yates on the
-// runtime's seeded rng, so runs stay deterministic) and keeps orderPos its
-// inverse.
+// runtime's seeded rng, so runs stay deterministic) and returns the
+// machines a pass visits, in that order: all of them when all is set,
+// otherwise the candidate machines. Step i of the shuffle settles position
+// i for good, so the candidates are gathered as positions settle, back to
+// front, and then reversed.
 //
 //corral:hotpath
-func (rt *runtime) shuffleMachineOrder() {
-	order, pos := rt.machineOrder, rt.orderPos
-	for i := len(order) - 1; i > 0; i-- {
-		j := rt.rngSrc.intn(i + 1)
-		a, b := order[i], order[j]
-		order[i], order[j] = b, a
-		pos[b], pos[a] = i, j
+func (rt *runtime) shuffleMachineOrder(all bool) []int32 {
+	order, js := rt.machineOrder, rt.shuffleDraws
+	rt.rngSrc.fisherYates(js)
+	if all {
+		for i := len(order) - 1; i > 0; i-- {
+			j := js[i]
+			order[i], order[j] = order[j], order[i]
+		}
+		return order
 	}
+	cand, out := rt.candidate, rt.candMachines[:0]
+	for i := len(order) - 1; i > 0; i-- {
+		j := js[i]
+		m := order[j]
+		order[i], order[j] = m, order[i]
+		if cand[m] {
+			out = append(out, m)
+		}
+	}
+	if cand[order[0]] {
+		out = append(out, order[0])
+	}
+	slices.Reverse(out)
+	rt.candMachines = out
+	return out
 }
 
-// markCandidateRacks collects into candRacks the union of the runnable
-// jobs' allowedRacks and reports whether that union is every rack (always
-// so once one runnable job is unconstrained). A slot offered outside the
-// union is turned down by every job at its allowsRack check, before any
-// state is touched, and neither runnableJobs nor allowedRacks can change
-// during a dispatch, so dispatch need not visit those racks at all.
-func (rt *runtime) markCandidateRacks() bool {
-	for _, r := range rt.candRacks {
-		rt.rackMarked[r] = false
-	}
-	rt.candRacks = rt.candRacks[:0]
+// markCandidates marks the machines of the racks in the union of the
+// runnable jobs' allowedRacks and reports whether that union is every
+// machine (always so once one runnable job is unconstrained, and then the
+// marks are not read). A slot offered outside the union is turned down by
+// every job at its allowsRack check, before any state is touched, and
+// neither runnableJobs nor allowedRacks can change during a dispatch, so
+// dispatch need not visit those machines at all.
+func (rt *runtime) markCandidates() bool {
+	clear(rt.candidate)
+	marked := 0
 	for _, je := range rt.runnableJobs {
 		if je.allowedRacks == nil {
 			return true
 		}
 		for _, r := range je.allowedRacks {
-			if !rt.rackMarked[r] {
-				rt.rackMarked[r] = true
-				rt.candRacks = append(rt.candRacks, r)
+			lo, hi := rt.cluster.MachinesInRack(r)
+			if rt.candidate[lo] {
+				continue
 			}
+			for m := lo; m < hi; m++ {
+				rt.candidate[m] = true
+			}
+			marked += hi - lo
 		}
 	}
-	return len(rt.candRacks) == len(rt.rackMarked)
-}
-
-// candidateOrder returns the machines of candRacks in heartbeat order. It
-// sorts their machineOrder positions by marking them in the posBits
-// bitmap and reading the bitmap back in ascending order, which costs
-// O(candidates + machines/64) and leaves posBits clear.
-//
-//corral:hotpath
-func (rt *runtime) candidateOrder() []int {
-	for _, r := range rt.candRacks {
-		lo, hi := rt.cluster.MachinesInRack(r)
-		for m := lo; m < hi; m++ {
-			p := rt.orderPos[m]
-			rt.posBits[p>>6] |= 1 << (p & 63)
-		}
-	}
-	out := rt.candMachines[:0]
-	for w, word := range rt.posBits {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, rt.machineOrder[w<<6|bits.TrailingZeros64(word)])
-		}
-		rt.posBits[w] = 0
-	}
-	rt.candMachines = out
-	return out
+	return marked == len(rt.candidate)
 }
 
 // requestDispatch coalesces dispatch work to one event per instant.
@@ -117,7 +115,7 @@ func (je *jobExec) runnableTasks() int {
 // node-manager heartbeats arrive in effectively random order, and a fixed
 // index order would let the FIFO scheduler pack jobs into low-numbered
 // racks "for free". Every pass shuffles all machines, so the rng stream is
-// the same whichever racks the pass then visits.
+// the same whichever machines the pass then visits.
 //
 //corral:hotpath
 func (rt *runtime) dispatch() {
@@ -136,15 +134,11 @@ func (rt *runtime) dispatch() {
 			rt.runnableJobs = append(rt.runnableJobs, je)
 		}
 	}
-	allRacks := rt.markCandidateRacks()
+	all := rt.markCandidates()
 	for {
 		assigned := false
-		rt.shuffleMachineOrder()
-		visit := rt.machineOrder
-		if !allRacks {
-			visit = rt.candidateOrder()
-		}
-		for _, m := range visit {
+		for _, m32 := range rt.shuffleMachineOrder(all) {
+			m := int(m32)
 			if rt.dead[m] || rt.blacklisted[m] {
 				continue
 			}

@@ -32,53 +32,112 @@ import (
 	"corral/internal/trace"
 )
 
-// countingSource wraps the seeded RNG source, counting draws without
-// changing the value stream. The draw count is observable state: a
-// replayed run must consume exactly as many values as the original.
+// countingSource is the run's one seeded RNG stream: math/rand's additive
+// lagged-Fibonacci generator (rngSource) held inline, so the hot draws need
+// no rand.Source64 interface call, plus a count of the values drawn. The
+// draw count is observable state: a replayed run must consume exactly as
+// many values as the original. Go 1 compatibility freezes math/rand's
+// seeded stream, so the values equal rand.NewSource(seed)'s.
 type countingSource struct {
-	src   rand.Source64
-	draws uint64
+	vec       [rngLen]uint64
+	feed, tap int
+	draws     uint64
 }
+
+const (
+	rngLen = 607 // math/rand's rngLen: the lag of the feed
+	rngTap = 273 // math/rand's rngTap: the lag of the tap
+)
 
 func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	c := &countingSource{}
+	c.Seed(seed)
+	return c
 }
 
-func (c *countingSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
+// Seed recovers rngSource's seeded state from its first rngLen outputs y
+// rather than from a copy of math/rand's rngCooked table. Output n adds
+// the tap into feed slot f(n) = (rngLen-rngTap-1-n) mod rngLen; for
+// n >= rngTap that tap slot already holds output n-rngTap, and for
+// n < rngTap it is slot f(n+rngLen-rngTap), still at its seeded value.
+func (c *countingSource) Seed(seed int64) {
+	src := rand.NewSource(seed).(rand.Source64)
+	var y [rngLen]uint64
+	for n := range y {
+		y[n] = src.Uint64()
+	}
+	f := func(n int) int { return (rngLen - rngTap - 1 - n + rngLen) % rngLen }
+	for n := rngTap; n < rngLen; n++ {
+		c.vec[f(n)] = y[n] - y[n-rngTap]
+	}
+	for n := 0; n < rngTap; n++ {
+		c.vec[f(n)] = y[n] - c.vec[f(n+rngLen-rngTap)]
+	}
+	c.feed, c.tap = rngLen-rngTap, 0
+	c.draws = 0
 }
 
 func (c *countingSource) Uint64() uint64 {
+	var x uint64
+	x, c.feed, c.tap = next(&c.vec, c.feed, c.tap)
 	c.draws++
-	return c.src.Uint64()
+	return x
 }
 
-// intn is rand.New(c).Intn(n) for 0 < n <= math.MaxInt32 without the
-// rand.Rand indirection: math/rand's Int31n, power-of-two mask and
-// rejection loop included, on Int63()>>32. Go 1 compatibility freezes
-// math/rand's seeded stream, so the values and the draw count match.
+func (c *countingSource) Int63() int64 {
+	return int64(c.Uint64() & math.MaxInt64)
+}
+
+// next is rngSource.Uint64 on explicit state: feed and tap step down mod
+// rngLen and vec[feed] += vec[tap] is the value drawn.
+func next(vec *[rngLen]uint64, feed, tap int) (x uint64, feed2, tap2 int) {
+	if feed--; feed < 0 {
+		feed += rngLen
+	}
+	if tap--; tap < 0 {
+		tap += rngLen
+	}
+	x = vec[feed] + vec[tap]
+	vec[feed] = x
+	return x, feed, tap
+}
+
+// int31ns fills js[k] = rand.New(c).Int31n(n0+k) for k = len(js)-1 down
+// to 0, in that order, with the generator state in locals. It is
+// math/rand's Int31n on Int31 = Int63()>>32: a draw v is rejected above
+// limit = 2^31-1 - 2^31 mod n and otherwise yields v % n. Int31n's
+// power-of-two mask is the case limit = 2^31-1, where v & (n-1) = v % n.
+// limit is at least 2^31 - n, so a draw v <= 2^31-1-n is accepted before
+// limit is computed: the common draw costs one division, not two.
 //
 //corral:hotpath
-func (c *countingSource) intn(n int) int {
-	if n <= 0 || n > math.MaxInt32 {
-		panic("runtime: intn argument out of range")
+func (c *countingSource) int31ns(js []int32, n0 int32) {
+	vec, feed, tap, draws := &c.vec, c.feed, c.tap, c.draws
+	for k := len(js) - 1; k >= 0; k-- {
+		n := n0 + int32(k)
+		for {
+			var x uint64
+			x, feed, tap = next(vec, feed, tap)
+			draws++
+			v := int32(x>>32) & math.MaxInt32
+			if v <= math.MaxInt32-n || v <= math.MaxInt32-int32((1<<31)%uint32(n)) {
+				js[k] = int32(uint32(v) % uint32(n))
+				break
+			}
+		}
 	}
-	m := int32(n)
-	if m&(m-1) == 0 {
-		return int(int32(c.Int63()>>32) & (m - 1))
-	}
-	limit := int32((1 << 31) - 1 - (1<<31)%uint32(m))
-	v := int32(c.Int63() >> 32)
-	for v > limit {
-		v = int32(c.Int63() >> 32)
-	}
-	return int(v % m)
+	c.feed, c.tap, c.draws = feed, tap, draws
 }
 
-func (c *countingSource) Seed(seed int64) {
-	c.draws = 0
-	c.src.Seed(seed)
+// fisherYates fills js[i] = rand.New(c).Intn(i+1) for i = len(js)-1 down
+// to 1: the draws of one Fisher-Yates shuffle of len(js) elements, in
+// math/rand's order.
+//
+//corral:hotpath
+func (c *countingSource) fisherYates(js []int32) {
+	if len(js) > 1 {
+		c.int31ns(js[1:], 2)
+	}
 }
 
 // CheckpointTarget names one point to snapshot at: after EventIndex fired
@@ -410,7 +469,10 @@ func (rt *runtime) captureState() *snapshot.State {
 	r.FreeSlots = append([]int(nil), rt.freeSlots...)
 	r.Dead = append([]bool(nil), rt.dead...)
 	r.DeadCount = rt.deadCount
-	r.MachineOrder = append([]int(nil), rt.machineOrder...)
+	r.MachineOrder = make([]int, len(rt.machineOrder))
+	for i, m := range rt.machineOrder {
+		r.MachineOrder[i] = int(m)
+	}
 	r.Blacklisted = append([]bool(nil), rt.blacklisted...)
 	r.MachineFailures = append([]int(nil), rt.machineFailures...)
 	r.FailedJobs = rt.failedJobs
