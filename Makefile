@@ -23,9 +23,13 @@ build:
 # vet is go vet plus the full corralvet suite (all nine checks), so a
 # seeded contract violation — a shared write in a parallelFor closure, a
 # fmt call on a //corral:hotpath function — fails `make vet` directly.
+# The second run adds the _test.go files, so test code obeys the same
+# contracts (an exact float comparison in a determinism assertion carries
+# its //corralvet:ok floateq reason).
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/corralvet ./...
+	$(GO) run ./cmd/corralvet -tests ./...
 
 # perfbench/ is its own Go module (replace corral => ../), so the root
 # `go build ./...` never compiles it; vet and self-test it here so an API
@@ -77,7 +81,9 @@ fuzz:
 # with an error, and must compare an accepted run with itself without
 # drift. corralplan's workload decoder, seeded from workloadgen output,
 # must never panic, and whatever it accepts must plan without a panic and
-# with one assignment per plannable job. A crasher lands in the package's
+# with one assignment per plannable job. corralsim's command line, parsed
+# and validated, must never panic, and every value it accepts must lie in
+# its documented range. A crasher lands in the package's
 # testdata/fuzz/<target> directory, where `go test` replays it from then
 # on.
 fuzz-native:
@@ -85,6 +91,7 @@ fuzz-native:
 	$(GO) test ./cmd/corraltrace -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 20s
 	$(GO) test ./cmd/corralbench -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s
 	$(GO) test ./cmd/corralplan -run '^$$' -fuzz '^FuzzDecodeJobs$$' -fuzztime 20s
+	$(GO) test ./cmd/corralsim -run '^$$' -fuzz '^FuzzParseFlags$$' -fuzztime 20s
 
 # Overload gate: at 4x the saturating arrival rate under a fault storm,
 # budgeted Corral (planner deadline budget + replan-storm suppression +

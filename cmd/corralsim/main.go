@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -22,53 +23,16 @@ import (
 )
 
 func main() {
-	var (
-		exp    = flag.String("exp", "", "experiment ID (see -list), or \"all\"")
-		size   = flag.String("size", "m", "experiment scale: s, m or l")
-		seed   = flag.Int64("seed", 1, "random seed")
-		list   = flag.Bool("list", false, "list available experiments")
-		asJSON = flag.Bool("json", false, "emit key outcome values as JSON")
-		chaosI = flag.String("chaos-intensities", "",
-			"comma-separated fault intensities for the chaos sweep (implies -exp chaos)")
-		fuzzTraces = flag.Int("fuzz-traces", 0,
-			"trace count for the corralcheck fuzzer (implies -exp fuzz; 0 = bundled default)")
-		arrivalRates = flag.String("arrival-rates", "",
-			"comma-separated arrival-rate multipliers for the overload sweep (implies -exp overload)")
-		plannerBudget = flag.Float64("planner-budget", 0,
-			"planner deadline budget in simulated seconds for the overload sweep (0 = bundled default)")
-		replanWindow = flag.Float64("replan-window", 0,
-			"replan-storm suppression window in simulated seconds for the overload sweep (0 = bundled default)")
-		admissionLimit = flag.Int("admission-limit", 0,
-			"max concurrently admitted jobs for the overload sweep (0 = bundled default)")
-		machinesList = flag.String("machines", "",
-			"comma-separated machine counts for the datacenter-scale suite, e.g. 2000,10000 (implies -exp scale; empty = the size's ladder)")
-		workers = flag.Int("workers", 0,
-			"worker pool bound for parallel experiment sweeps (0 = GOMAXPROCS, 1 = serial; results are identical for any value)")
-		tracePath = flag.String("trace", "",
-			"write a deterministic simulation-time event trace to this file (.jsonl = flat JSONL; any other extension = Chrome trace-event JSON, loadable in Perfetto)")
-		snapshotAt = flag.String("snapshot-at", "",
-			"capture the crash-resume scenario run at this point (\"ev:N\" = after N events, \"t:SECONDS\" = at simulated time, bare N = ev:N) and write the snapshot to -snapshot-out")
-		snapshotOut = flag.String("snapshot-out", "",
-			"snapshot output file for -snapshot-at (default snapshot.json)")
-		resumePath = flag.String("resume", "",
-			"resume a snapshot file written by -snapshot-at: restore, audit, run to completion and print the outcome")
-	)
-	flag.Parse()
-	ov := overloadFlags{
-		arrivalRates:   *arrivalRates,
-		plannerBudget:  *plannerBudget,
-		replanWindow:   *replanWindow,
-		admissionLimit: *admissionLimit,
-	}
-	if err := validateFlagCombos(*exp, *snapshotAt, *snapshotOut, *resumePath, *machinesList, ov); err != nil {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "corralsim:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	corral.SetSweepWorkers(*workers)
+	corral.SetSweepWorkers(o.workers)
 
 	var collector *corral.TraceCollector
-	if *tracePath != "" {
+	if o.tracePath != "" {
 		collector = corral.NewTraceCollector()
 		corral.InstallTraceCollector(collector)
 	}
@@ -80,11 +44,11 @@ func main() {
 		}
 		c := collector
 		collector = nil
-		f, err := os.Create(*tracePath)
+		f, err := os.Create(o.tracePath)
 		if err != nil {
 			fatal(err)
 		}
-		if strings.HasSuffix(*tracePath, ".jsonl") {
+		if strings.HasSuffix(o.tracePath, ".jsonl") {
 			err = c.WriteJSONL(f)
 		} else {
 			err = c.WriteChrome(f)
@@ -93,21 +57,13 @@ func main() {
 			err = cerr
 		}
 		if err != nil {
-			fatal(fmt.Errorf("writing trace %s: %v", *tracePath, err))
+			fatal(fmt.Errorf("writing trace %s: %v", o.tracePath, err))
 		}
 	}
 	defer writeTrace()
 
-	if *snapshotAt != "" {
-		target, err := parseTarget(*snapshotAt)
-		if err != nil {
-			fatal(err)
-		}
-		sz, err := parseSize(*size)
-		if err != nil {
-			fatal(err)
-		}
-		snap, err := corral.CaptureScenarioSnapshot(sz, *seed, target)
+	if o.snapshotAt != "" {
+		snap, err := corral.CaptureScenarioSnapshot(o.size, o.seed, o.target)
 		if err != nil {
 			fatal(err)
 		}
@@ -115,7 +71,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		out := *snapshotOut
+		out := o.snapshotOut
 		if out == "" {
 			out = "snapshot.json"
 		}
@@ -127,8 +83,8 @@ func main() {
 		return
 	}
 
-	if *resumePath != "" {
-		raw, err := os.ReadFile(*resumePath)
+	if o.resumePath != "" {
+		raw, err := os.ReadFile(o.resumePath)
 		if err != nil {
 			fatal(err)
 		}
@@ -143,7 +99,7 @@ func main() {
 		}
 		writeTrace()
 		fmt.Printf("resumed %s from event %d (t=%.3f s): makespan %.3f s, %d events, %d jobs (%d failed), %d replans\n",
-			*resumePath, snap.Meta.EventIndex, snap.Meta.SimTime,
+			o.resumePath, snap.Meta.EventIndex, snap.Meta.SimTime,
 			res.Makespan, res.Events, len(res.Jobs), res.FailedJobs, res.Replans)
 		if n := mon.ViolationCount(); n != 0 {
 			fatal(fmt.Errorf("resumed run raised %d invariant violations: %v", n, mon.Violations()))
@@ -151,16 +107,12 @@ func main() {
 		return
 	}
 
-	if *fuzzTraces > 0 || *exp == "fuzz" {
-		sz, err := parseSize(*size)
+	if o.fuzzTraces > 0 || o.exp == "fuzz" {
+		report, err := corral.RunFuzzExperiment(o.size, o.seed, o.fuzzTraces)
 		if err != nil {
 			fatal(err)
 		}
-		report, err := corral.RunFuzzExperiment(sz, *seed, *fuzzTraces)
-		if err != nil {
-			fatal(err)
-		}
-		if *asJSON {
+		if o.asJSON {
 			emitJSON(map[string]map[string]float64{"fuzz": report.Values})
 			return
 		}
@@ -175,22 +127,12 @@ func main() {
 	// The scale suite exits non-zero when a cell's determinism, resume or
 	// plan wall-clock budget verification fails — that is the CI gate's
 	// red signal.
-	if *machinesList != "" || *exp == "scale" {
-		sz, err := parseSize(*size)
+	if o.machines != nil || o.exp == "scale" {
+		report, err := corral.RunScaleExperiment(o.size, o.seed, o.machines)
 		if err != nil {
 			fatal(err)
 		}
-		var machines []int
-		if *machinesList != "" {
-			if machines, err = parseInts(*machinesList, "machine count"); err != nil {
-				fatal(err)
-			}
-		}
-		report, err := corral.RunScaleExperiment(sz, *seed, machines)
-		if err != nil {
-			fatal(err)
-		}
-		if *asJSON {
+		if o.asJSON {
 			emitJSON(map[string]map[string]float64{"scale": report.Values})
 		} else {
 			fmt.Println(report)
@@ -202,20 +144,12 @@ func main() {
 		return
 	}
 
-	if *chaosI != "" {
-		sz, err := parseSize(*size)
+	if o.intensities != nil {
+		report, err := corral.RunChaosExperiment(o.size, o.seed, o.intensities)
 		if err != nil {
 			fatal(err)
 		}
-		intensities, err := parseFloats(*chaosI, "intensity")
-		if err != nil {
-			fatal(err)
-		}
-		report, err := corral.RunChaosExperiment(sz, *seed, intensities)
-		if err != nil {
-			fatal(err)
-		}
-		if *asJSON {
+		if o.asJSON {
 			emitJSON(map[string]map[string]float64{"chaos": report.Values})
 			return
 		}
@@ -226,25 +160,15 @@ func main() {
 	// The overload sweep gets its own dispatch whenever a knob or the rate
 	// list is set; a bare -exp overload falls through to the registry with
 	// the bundled defaults.
-	if ov.arrivalRates != "" || (*exp == "overload" && ov.knobsSet()) {
-		sz, err := parseSize(*size)
-		if err != nil {
-			fatal(err)
-		}
-		var rates []float64
-		if ov.arrivalRates != "" {
-			if rates, err = parseFloats(ov.arrivalRates, "arrival rate"); err != nil {
-				fatal(err)
-			}
-		}
+	if o.rates != nil || (o.exp == "overload" && o.ov.knobsSet()) {
 		report, err := corral.RunOverloadSweep(corral.OverloadParams{
-			Size: sz, Seed: *seed, Rates: rates,
-			Budget: ov.plannerBudget, Window: ov.replanWindow, AdmissionLimit: ov.admissionLimit,
+			Size: o.size, Seed: o.seed, Rates: o.rates,
+			Budget: o.ov.plannerBudget, Window: o.ov.replanWindow, AdmissionLimit: o.ov.admissionLimit,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		if *asJSON {
+		if o.asJSON {
 			emitJSON(map[string]map[string]float64{"overload": report.Values})
 			return
 		}
@@ -252,24 +176,19 @@ func main() {
 		return
 	}
 
-	if *list || *exp == "" {
+	if o.list || o.exp == "" {
 		fmt.Println("available experiments:")
 		for _, e := range corral.Experiments() {
 			fmt.Printf("  %-20s %s\n", e.ID, e.Description)
 		}
-		if *exp == "" && !*list {
+		if o.exp == "" && !o.list {
 			fmt.Println("\nrun one with: corralsim -exp <id>")
 		}
 		return
 	}
 
-	sz, err := parseSize(*size)
-	if err != nil {
-		fatal(err)
-	}
-
-	ids := []string{*exp}
-	if *exp == "all" {
+	ids := []string{o.exp}
+	if o.exp == "all" {
 		ids = ids[:0]
 		for _, e := range corral.Experiments() {
 			ids = append(ids, e.ID)
@@ -277,17 +196,17 @@ func main() {
 	}
 	jsonOut := map[string]map[string]float64{}
 	for _, id := range ids {
-		report, err := corral.RunExperiment(id, sz, *seed)
+		report, err := corral.RunExperiment(id, o.size, o.seed)
 		if err != nil {
 			fatal(err)
 		}
-		if *asJSON {
+		if o.asJSON {
 			jsonOut[id] = report.Values
 			continue
 		}
 		fmt.Println(report)
 	}
-	if *asJSON {
+	if o.asJSON {
 		emitJSON(jsonOut)
 	}
 }
@@ -310,6 +229,100 @@ func parseSize(s string) (corral.ExperimentSize, error) {
 		return corral.SizeLarge, nil
 	}
 	return 0, fmt.Errorf("unknown size %q (want s, m or l)", s)
+}
+
+// options is corralsim's parsed command line, every value checked.
+type options struct {
+	exp          string
+	size         corral.ExperimentSize
+	seed         int64
+	list, asJSON bool
+	intensities  []float64 // -chaos-intensities; nil when unset
+	fuzzTraces   int
+	rates        []float64 // -arrival-rates; nil when unset
+	ov           overloadFlags
+	machines     []int // -machines; nil when unset
+	workers      int
+	tracePath    string
+	snapshotAt   string
+	target       corral.CheckpointTarget // parsed -snapshot-at
+	snapshotOut  string
+	resumePath   string
+}
+
+// parseFlags defines corralsim's flags on fs, parses args, and rejects
+// incoherent combinations and out-of-range values before anything runs.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	var (
+		o                      options
+		size, chaosI, machines string
+	)
+	fs.StringVar(&o.exp, "exp", "", "experiment ID (see -list), or \"all\"")
+	fs.StringVar(&size, "size", "m", "experiment scale: s, m or l")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.BoolVar(&o.list, "list", false, "list available experiments")
+	fs.BoolVar(&o.asJSON, "json", false, "emit key outcome values as JSON")
+	fs.StringVar(&chaosI, "chaos-intensities", "",
+		"comma-separated non-negative fault intensities for the chaos sweep (implies -exp chaos)")
+	fs.IntVar(&o.fuzzTraces, "fuzz-traces", 0,
+		"trace count for the corralcheck fuzzer (implies -exp fuzz; 0 = bundled default)")
+	fs.StringVar(&o.ov.arrivalRates, "arrival-rates", "",
+		"comma-separated positive arrival-rate multipliers for the overload sweep (implies -exp overload)")
+	fs.Float64Var(&o.ov.plannerBudget, "planner-budget", 0,
+		"planner deadline budget in simulated seconds for the overload sweep (0 = bundled default)")
+	fs.Float64Var(&o.ov.replanWindow, "replan-window", 0,
+		"replan-storm suppression window in simulated seconds for the overload sweep (0 = bundled default)")
+	fs.IntVar(&o.ov.admissionLimit, "admission-limit", 0,
+		"max concurrently admitted jobs for the overload sweep (0 = bundled default)")
+	fs.StringVar(&machines, "machines", "",
+		"comma-separated machine counts for the datacenter-scale suite, e.g. 2000,10000 (implies -exp scale; empty = the size's ladder)")
+	fs.IntVar(&o.workers, "workers", 0,
+		"worker pool bound for parallel experiment sweeps (0 = GOMAXPROCS, 1 = serial; results are identical for any value)")
+	fs.StringVar(&o.tracePath, "trace", "",
+		"write a deterministic simulation-time event trace to this file (.jsonl = flat JSONL; any other extension = Chrome trace-event JSON, loadable in Perfetto)")
+	fs.StringVar(&o.snapshotAt, "snapshot-at", "",
+		"capture the crash-resume scenario run at this point (\"ev:N\" = after N events, \"t:SECONDS\" = at simulated time, bare N = ev:N) and write the snapshot to -snapshot-out")
+	fs.StringVar(&o.snapshotOut, "snapshot-out", "",
+		"snapshot output file for -snapshot-at (default snapshot.json)")
+	fs.StringVar(&o.resumePath, "resume", "",
+		"resume a snapshot file written by -snapshot-at: restore, audit, run to completion and print the outcome")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if err := validateFlagCombos(o.exp, o.snapshotAt, o.snapshotOut, o.resumePath, machines, o.ov); err != nil {
+		return nil, err
+	}
+	if o.fuzzTraces < 0 {
+		return nil, fmt.Errorf("-fuzz-traces must be non-negative (0 = default)")
+	}
+	if o.workers < 0 {
+		return nil, fmt.Errorf("-workers must be non-negative (0 = GOMAXPROCS)")
+	}
+	var err error
+	if o.size, err = parseSize(size); err != nil {
+		return nil, err
+	}
+	if chaosI != "" {
+		if o.intensities, err = parseFloats(chaosI, "intensity", false); err != nil {
+			return nil, err
+		}
+	}
+	if o.ov.arrivalRates != "" {
+		if o.rates, err = parseFloats(o.ov.arrivalRates, "arrival rate", true); err != nil {
+			return nil, err
+		}
+	}
+	if machines != "" {
+		if o.machines, err = parseInts(machines, "machine count"); err != nil {
+			return nil, err
+		}
+	}
+	if o.snapshotAt != "" {
+		if o.target, err = parseTarget(o.snapshotAt); err != nil {
+			return nil, err
+		}
+	}
+	return &o, nil
 }
 
 // overloadFlags bundles the overload-sweep knobs for validation and
@@ -355,11 +368,11 @@ func validateFlagCombos(exp, snapshotAt, snapshotOut, resume, machines string, o
 	if snapshotOut != "" && snapshotAt == "" {
 		return fmt.Errorf("-snapshot-out requires -snapshot-at")
 	}
-	if ov.plannerBudget < 0 {
-		return fmt.Errorf("-planner-budget must be non-negative (simulated seconds; 0 = default)")
+	if !finiteNonNegative(ov.plannerBudget) {
+		return fmt.Errorf("-planner-budget must be non-negative and finite (simulated seconds; 0 = default)")
 	}
-	if ov.replanWindow < 0 {
-		return fmt.Errorf("-replan-window must be non-negative (simulated seconds; 0 = default)")
+	if !finiteNonNegative(ov.replanWindow) {
+		return fmt.Errorf("-replan-window must be non-negative and finite (simulated seconds; 0 = default)")
 	}
 	if ov.admissionLimit < 0 {
 		return fmt.Errorf("-admission-limit must be non-negative (0 = default)")
@@ -394,8 +407,8 @@ func parseTarget(s string) (corral.CheckpointTarget, error) {
 		return corral.CheckpointTarget{EventIndex: n}, nil
 	case strings.HasPrefix(s, "t:"):
 		v, err := strconv.ParseFloat(s[len("t:"):], 64)
-		if err != nil || v < 0 {
-			return corral.CheckpointTarget{}, fmt.Errorf("bad -snapshot-at %q: want a non-negative time in seconds", s)
+		if err != nil || !finiteNonNegative(v) {
+			return corral.CheckpointTarget{}, fmt.Errorf("bad -snapshot-at %q: want a finite non-negative time in seconds", s)
 		}
 		return corral.CheckpointTarget{SimTime: v}, nil
 	default:
@@ -419,16 +432,27 @@ func parseInts(s, noun string) ([]int, error) {
 	return out, nil
 }
 
-func parseFloats(s, noun string) ([]float64, error) {
+// parseFloats parses a comma-separated list of finite non-negative
+// values, all of them above zero when positive is set.
+func parseFloats(s, noun string, positive bool) ([]float64, error) {
+	want := "a finite non-negative number"
+	if positive {
+		want = "a finite positive number"
+	}
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad %s %q: %v", noun, part, err)
+		if err != nil || !finiteNonNegative(v) || positive && v <= 0 {
+			return nil, fmt.Errorf("bad %s %q: want %s", noun, part, want)
 		}
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// finiteNonNegative reports whether v is neither NaN, infinite nor negative.
+func finiteNonNegative(v float64) bool {
+	return v >= 0 && !math.IsInf(v, 1)
 }
 
 func fatal(err error) {

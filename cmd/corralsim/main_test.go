@@ -1,6 +1,9 @@
 package main
 
 import (
+	"flag"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -34,6 +37,14 @@ func TestValidateFlagCombos(t *testing.T) {
 			wantErr: "-planner-budget must be non-negative"},
 		{name: "negative window", exp: "overload", ov: overloadFlags{replanWindow: -0.1},
 			wantErr: "-replan-window must be non-negative"},
+		{name: "NaN budget", exp: "overload", ov: overloadFlags{plannerBudget: math.NaN()},
+			wantErr: "-planner-budget must be non-negative and finite"},
+		{name: "infinite budget", exp: "overload", ov: overloadFlags{plannerBudget: math.Inf(1)},
+			wantErr: "-planner-budget must be non-negative and finite"},
+		{name: "NaN window", exp: "overload", ov: overloadFlags{replanWindow: math.NaN()},
+			wantErr: "-replan-window must be non-negative and finite"},
+		{name: "infinite window", exp: "overload", ov: overloadFlags{replanWindow: math.Inf(1)},
+			wantErr: "-replan-window must be non-negative and finite"},
 		{name: "negative limit", exp: "overload", ov: overloadFlags{admissionLimit: -2},
 			wantErr: "-admission-limit must be non-negative"},
 		{name: "rates with other exp", exp: "fig6", ov: overloadFlags{arrivalRates: "1,4"},
@@ -108,6 +119,113 @@ func TestParseInts(t *testing.T) {
 	}
 }
 
+// TestParseFlags covers the values parseFlags rejects before a run starts:
+// a negative arrival rate used to reach the simulator as arrivals before
+// time zero and panic, +Inf ran a sweep row labelled +Inf, and a NaN
+// intensity degraded every uplink while failing no machine.
+func TestParseFlags(t *testing.T) {
+	for _, c := range []struct {
+		args    string
+		wantErr string // "" = accepted
+	}{
+		{args: "-exp fig6 -size s"},
+		{args: "-size s -arrival-rates 0.5,1,4"},
+		{args: "-size s -chaos-intensities 0,0.5,1"},
+		{args: "-machines 2000,10000"},
+		{args: "-snapshot-at t:12.5 -snapshot-out s.json"},
+		{args: "-size s -arrival-rates -1", wantErr: "bad arrival rate"},
+		{args: "-arrival-rates 0", wantErr: "bad arrival rate"},
+		{args: "-arrival-rates 1,+Inf", wantErr: "bad arrival rate"},
+		{args: "-arrival-rates NaN", wantErr: "bad arrival rate"},
+		{args: "-arrival-rates 1,,2", wantErr: "bad arrival rate"},
+		{args: "-chaos-intensities NaN", wantErr: "bad intensity"},
+		{args: "-chaos-intensities -0.5", wantErr: "bad intensity"},
+		{args: "-chaos-intensities Inf", wantErr: "bad intensity"},
+		{args: "-machines 0", wantErr: "bad machine count"},
+		{args: "-snapshot-at t:NaN", wantErr: "bad -snapshot-at"},
+		{args: "-fuzz-traces -1", wantErr: "-fuzz-traces must be non-negative"},
+		{args: "-workers -2", wantErr: "-workers must be non-negative"},
+		{args: "-size xl -exp fig6", wantErr: "unknown size"},
+		{args: "-exp fig6 -arrival-rates 1", wantErr: "-arrival-rates implies -exp overload"},
+		{args: "-no-such-flag", wantErr: "flag provided but not defined"},
+	} {
+		fs := flag.NewFlagSet("corralsim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		o, err := parseFlags(fs, strings.Fields(c.args))
+		if c.wantErr == "" {
+			if err != nil || o == nil {
+				t.Errorf("%q: unexpected error %v", c.args, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%q: err = %v, want %q", c.args, err, c.wantErr)
+		}
+	}
+}
+
+// FuzzParseFlags: for any command line, flag parsing plus validation
+// never panics, and every value it accepts is in its documented range.
+// The range checks here are written out independently of the parser.
+func FuzzParseFlags(f *testing.F) {
+	for _, seed := range []string{
+		"-exp fig6 -size s",
+		"-size s -arrival-rates -1",
+		"-arrival-rates +Inf",
+		"-arrival-rates 0.5,1,4 -planner-budget 0.5 -replan-window 10 -admission-limit 4",
+		"-exp overload -planner-budget NaN",
+		"-chaos-intensities NaN",
+		"-chaos-intensities 0,0.5,1 -size s",
+		"-machines 2000,10000 -workers 2",
+		"-snapshot-at t:12.5 -snapshot-out s.json",
+		"-snapshot-at ev:100",
+		"-resume s.json",
+		"-fuzz-traces 3 -size s -seed 7",
+		"-list -json",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, args string) {
+		fs := flag.NewFlagSet("corralsim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		o, err := parseFlags(fs, strings.Fields(args))
+		if err != nil {
+			if o != nil {
+				t.Fatalf("%q: options returned with error %v", args, err)
+			}
+			return
+		}
+		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+		for _, v := range o.rates {
+			if !finite(v) || v <= 0 {
+				t.Fatalf("%q: accepted arrival rate %g", args, v)
+			}
+		}
+		for _, v := range o.intensities {
+			if !finite(v) || v < 0 {
+				t.Fatalf("%q: accepted intensity %g", args, v)
+			}
+		}
+		for _, v := range o.machines {
+			if v <= 0 {
+				t.Fatalf("%q: accepted machine count %d", args, v)
+			}
+		}
+		if b, w := o.ov.plannerBudget, o.ov.replanWindow; !finite(b) || b < 0 || !finite(w) || w < 0 {
+			t.Fatalf("%q: accepted budget %g, window %g", args, b, w)
+		}
+		if o.ov.admissionLimit < 0 || o.fuzzTraces < 0 || o.workers < 0 {
+			t.Fatalf("%q: accepted a negative count: %+v", args, o)
+		}
+		if o.snapshotAt != "" && o.target.EventIndex == 0 && (!finite(o.target.SimTime) || o.target.SimTime < 0) {
+			t.Fatalf("%q: accepted snapshot target %+v", args, o.target)
+		}
+		if o.resumePath != "" && (o.exp != "" || o.snapshotAt != "" || o.machines != nil || o.rates != nil) {
+			t.Fatalf("%q: accepted -resume with a conflicting flag", args)
+		}
+	})
+}
+
 func TestParseTarget(t *testing.T) {
 	for _, c := range []struct {
 		in      string
@@ -122,6 +240,8 @@ func TestParseTarget(t *testing.T) {
 		{in: "ev:0", wantErr: true},
 		{in: "0", wantErr: true},
 		{in: "t:-1", wantErr: true},
+		{in: "t:NaN", wantErr: true},
+		{in: "t:+Inf", wantErr: true},
 		{in: "ev:abc", wantErr: true},
 		{in: "whenever", wantErr: true},
 		{in: "", wantErr: true},
@@ -137,6 +257,7 @@ func TestParseTarget(t *testing.T) {
 			t.Errorf("parseTarget(%q): %v", c.in, err)
 			continue
 		}
+		//corralvet:ok floateq exact identity intended: parsed -snapshot-at times must equal the literal they were parsed from
 		if got.EventIndex != c.wantEv || got.SimTime != c.wantT {
 			t.Errorf("parseTarget(%q) = %+v, want ev=%d t=%g", c.in, got, c.wantEv, c.wantT)
 		}

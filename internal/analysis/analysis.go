@@ -7,9 +7,13 @@
 // float equality, no second-scale/nanosecond-scale mixing — into
 // build-time diagnostics.
 //
-// The package is stdlib-only: packages are loaded with go/parser and
-// type-checked with go/types backed by the source importer, so go.mod
-// stays dependency-free.
+// The package is stdlib-only, so go.mod stays dependency-free: the go
+// command says what a package is (`go list -export -deps`, see Load),
+// and the matched packages are parsed with go/parser and type-checked
+// with go/types against the export data it compiled. Only packages of
+// the module the patterns resolve in are loaded, so the nested
+// perfbench/ module is not analyzed here; `make perfbench-check` vets
+// and tests it.
 //
 // A finding that is intentional is suppressed with a comment on the same
 // line or the line directly above:

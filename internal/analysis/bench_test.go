@@ -3,9 +3,9 @@ package analysis
 import "testing"
 
 // BenchmarkCorralvetSelfRun times the full nine-analyzer suite over the
-// whole module. Loading is excluded from the timed region: the source
-// importer dominates wall time and measures the host filesystem, not the
-// analyzers. The findings metric is semantic — the tree must be
+// whole module. Loading is excluded from the timed region: it runs
+// `go list` and type-checks the module, which measures the go command's
+// build cache, not the analyzers. The findings metric is semantic — the tree must be
 // corralvet-clean, so the bench-regression gate pins it at zero; the
 // packages metric tracks suite coverage and moves only when packages are
 // added or removed (refresh the baseline with `make bench`).

@@ -1,13 +1,18 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -29,346 +34,128 @@ type LoadConfig struct {
 	// Dir is the working directory patterns are resolved against; it must
 	// be inside a module. Empty means the process working directory.
 	Dir string
-	// Tests includes _test.go files. In-package test files are checked
-	// together with their package; external (_test-suffixed package)
-	// files are checked as their own package against that augmented
-	// instance, and so are the packages they import that import it,
-	// mirroring `go test` compilation.
+	// Tests includes _test.go files, as `go test` builds them: in-package
+	// test files are checked together with their package; external
+	// (_test-suffixed package) files are checked as their own package
+	// against that augmented instance, and against the packages they
+	// import that were rebuilt against it.
 	Tests bool
 }
 
-// Load resolves go-style package patterns ("./...", "./internal/netsim")
-// to type-checked packages. Only directories below the module root are
-// supported; there are no external module dependencies to resolve
-// (go.mod is dependency-free by design), so stdlib imports come from the
-// source importer and module-local imports are loaded recursively from
-// the tree itself. Every package path maps to exactly one canonical
-// *types.Package instance, so cross-package type identity holds.
-func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.Getwd()
-		if err != nil {
-			return nil, err
-		}
-	}
-	modDir, modPath, err := findModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	ld := &loader{
-		fset:      token.NewFileSet(),
-		modDir:    modDir,
-		modPath:   modPath,
-		full:      map[string]*Package{},
-		overrides: map[string]*types.Package{},
-		loading:   map[string]bool{},
-	}
-	ld.std = importer.ForCompiler(ld.fset, "source", nil)
+// listPackage is the subset of `go list -json` output the loader reads.
+type listPackage struct {
+	ImportPath string // "p", or "p [p.test]" for a test variant
+	Dir        string
+	Export     string // compiled export data
+	GoFiles    []string
+	ImportMap  map[string]string // source import path → variant ImportPath
+	ForTest    string
+	DepOnly    bool
+	Module     *struct{ Path string }
+	Error      *struct{ Err string }
+}
 
+// Load resolves go-style package patterns ("./...", "./internal/netsim")
+// to type-checked packages. The go command decides what a package is:
+// `go list -export -deps` expands the patterns, picks each package's
+// files under the build constraints, maps test variants through their
+// ImportMap, and compiles export data for every dependency. Only the
+// matched packages are type-checked from source; their imports come
+// from that export data, through a fresh importer per package so each
+// sees its own build's types. A test variant keeps the path of the
+// package it tests ("p" for "p [p.test]", "p_test" for the external
+// test package).
+func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	dirs, err := expandPatterns(dir, patterns)
+	listed, err := goList(cfg, patterns)
 	if err != nil {
 		return nil, err
 	}
-
+	byID := make(map[string]*listPackage, len(listed))
+	tested := map[string]bool{}
+	for _, lp := range listed {
+		byID[lp.ImportPath] = lp
+		if lp.ForTest != "" {
+			tested[lp.ForTest] = true
+		}
+	}
+	fset := token.NewFileSet()
 	var out []*Package
-	for _, d := range dirs {
-		ip, err := ld.importPath(d)
-		if err != nil {
-			return nil, err
-		}
-		names, testNames, extNames, err := goFilesIn(d)
-		if err != nil {
-			return nil, err
-		}
-		if !cfg.Tests {
-			if len(names) == 0 {
-				continue
-			}
-			p, err := ld.load(ip, d)
-			if err != nil {
-				return nil, err
-			}
-			p.Module = modPath
-			out = append(out, p)
+	for _, lp := range listed {
+		switch {
+		case lp.DepOnly, len(lp.GoFiles) == 0 && lp.Error == nil:
 			continue
+		case lp.ForTest == "" && strings.HasSuffix(lp.ImportPath, ".test") && tested[strings.TrimSuffix(lp.ImportPath, ".test")]:
+			continue // the generated test main
+		case byID[lp.ImportPath+" ["+lp.ImportPath+".test]"] != nil:
+			continue // superseded by its test variant
 		}
-		if len(names)+len(testNames) > 0 {
-			// Augmented instance: package + in-package test files. Not
-			// cached as the canonical instance — other packages must link
-			// against the non-test build.
-			aug, err := ld.checkFiles(ip, d, append(append([]string{}, names...), testNames...))
-			if err != nil {
-				return nil, err
-			}
-			aug.Module = modPath
-			out = append(out, aug)
-			if len(extNames) > 0 {
-				// As go test does, the external tests see one instance
-				// of each package: the augmented one for ip, and the
-				// packages importing ip checked again against it.
-				canonical := ld.full
-				ld.full = withoutImporters(canonical, ip)
-				ld.overrides[ip] = aug.Types
-				ext, err := ld.checkFiles(ip+"_test", d, extNames)
-				delete(ld.overrides, ip)
-				ld.full = canonical
-				if err != nil {
-					return nil, err
-				}
-				ext.Module = modPath
-				out = append(out, ext)
-			}
+		p, err := check(fset, lp, byID)
+		if err == nil && lp.Error != nil {
+			err = fmt.Errorf("%s: %s", lp.ImportPath, strings.TrimSpace(lp.Error.Err))
 		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
 }
 
-// withoutImporters returns a copy of the package cache without the
-// packages that import path, directly or through others.
-func withoutImporters(full map[string]*Package, path string) map[string]*Package {
-	memo := map[*types.Package]bool{}
-	var reaches func(*types.Package) bool
-	reaches = func(p *types.Package) bool {
-		if v, ok := memo[p]; ok {
-			return v
-		}
-		memo[p] = false
-		for _, q := range p.Imports() {
-			if q.Path() == path || reaches(q) {
-				memo[p] = true
-				return true
-			}
-		}
-		return false
+// goList runs `go list -e -export -deps -json` (plus -test) in cfg.Dir.
+func goList(cfg LoadConfig, patterns []string) ([]*listPackage, error) {
+	args := []string{"list", "-e", "-export", "-deps",
+		"-json=ImportPath,Dir,Export,GoFiles,ImportMap,ForTest,DepOnly,Module,Error"}
+	if cfg.Tests {
+		args = append(args, "-test")
 	}
-	out := make(map[string]*Package, len(full))
-	for k, p := range full {
-		if !reaches(p.Types) {
-			out[k] = p
-		}
+	cmd := exec.Command("go", append(append(args, "--"), patterns...)...)
+	cmd.Dir = cfg.Dir
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("go list: %v: %s", err, strings.TrimSpace(stderr.String()))
 	}
-	return out
-}
-
-// findModule walks up from dir to the enclosing go.mod and returns its
-// directory and module path.
-func findModule(dir string) (modDir, modPath string, err error) {
-	d, err := filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return d, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("go.mod in %s has no module directive", d)
+	var listed []*listPackage
+	for dec := json.NewDecoder(&stdout); ; {
+		lp := new(listPackage)
+		if err := dec.Decode(lp); err == io.EOF {
+			return listed, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("go list output: %w", err)
 		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		d = parent
+		listed = append(listed, lp)
 	}
 }
 
-// expandPatterns resolves patterns to a sorted, de-duplicated list of
-// directories containing Go files.
-func expandPatterns(base string, patterns []string) ([]string, error) {
-	seen := map[string]bool{}
-	var dirs []string
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
-	}
-	for _, pat := range patterns {
-		if rest, ok := strings.CutSuffix(pat, "..."); ok {
-			root := filepath.Clean(filepath.Join(base, rest))
-			err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-					return filepath.SkipDir
-				}
-				if hasGoFiles(path) {
-					add(path)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		d := filepath.Join(base, pat)
-		if fi, err := os.Stat(d); err != nil || !fi.IsDir() {
-			return nil, fmt.Errorf("pattern %q: not a directory", pat)
-		}
-		add(d)
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-func hasGoFiles(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			return true
-		}
-	}
-	return false
-}
-
-// goFilesIn splits a directory's Go files into non-test, in-package test,
-// and external-package test files.
-func goFilesIn(dir string) (names, testNames, extNames []string, err error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for _, e := range ents {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") {
-			continue
-		}
-		path := filepath.Join(dir, n)
-		if !strings.HasSuffix(n, "_test.go") {
-			names = append(names, path)
-			continue
-		}
-		ext, err := isExternalTest(path)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if ext {
-			extNames = append(extNames, path)
-		} else {
-			testNames = append(testNames, path)
-		}
-	}
-	return names, testNames, extNames, nil
-}
-
-// isExternalTest reports whether the file declares a _test-suffixed
-// package (checked as a separate package from the one under test).
-func isExternalTest(path string) (bool, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, parser.PackageClauseOnly)
-	if err != nil {
-		return false, err
-	}
-	return strings.HasSuffix(f.Name.Name, "_test"), nil
-}
-
-// loader type-checks packages, resolving module-local imports from the
-// source tree and everything else (stdlib) via the source importer.
-type loader struct {
-	fset    *token.FileSet
-	std     types.Importer
-	modDir  string
-	modPath string
-	// full caches the canonical (non-test) instance per import path.
-	full map[string]*Package
-	// overrides temporarily substitutes a test-augmented instance while
-	// its external test package is checked.
-	overrides map[string]*types.Package
-	loading   map[string]bool // import-cycle guard
-}
-
-// importPath maps a directory below the module root to its import path.
-func (ld *loader) importPath(dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	rel, err := filepath.Rel(ld.modDir, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("directory %s is outside module %s", dir, ld.modDir)
-	}
-	if rel == "." {
-		return ld.modPath, nil
-	}
-	return ld.modPath + "/" + filepath.ToSlash(rel), nil
-}
-
-// dirOf inverts importPath for module-local paths.
-func (ld *loader) dirOf(path string) string {
-	return filepath.Join(ld.modDir, strings.TrimPrefix(strings.TrimPrefix(path, ld.modPath), "/"))
-}
-
-// Import implements types.Importer.
-func (ld *loader) Import(path string) (*types.Package, error) {
-	if p, ok := ld.overrides[path]; ok {
-		return p, nil
-	}
-	if path == ld.modPath || strings.HasPrefix(path, ld.modPath+"/") {
-		p, err := ld.load(path, ld.dirOf(path))
-		if err != nil {
-			return nil, err
-		}
-		return p.Types, nil
-	}
-	return ld.std.Import(path)
-}
-
-// load returns the canonical non-test instance of a module-local
-// package, checking it on first use.
-func (ld *loader) load(path, dir string) (*Package, error) {
-	if p, ok := ld.full[path]; ok {
-		return p, nil
-	}
-	names, _, _, err := goFilesIn(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	p, err := ld.checkFiles(path, dir, names)
-	if err != nil {
-		return nil, err
-	}
-	ld.full[path] = p
-	return p, nil
-}
-
-// checkFiles parses and type-checks one package's files.
-func (ld *loader) checkFiles(path, dir string, fileNames []string) (*Package, error) {
-	if ld.loading[path] {
-		return nil, fmt.Errorf("import cycle through %s", path)
-	}
-	ld.loading[path] = true
-	defer delete(ld.loading, path)
-
-	sort.Strings(fileNames)
+// check parses and type-checks one listed package from source.
+func check(fset *token.FileSet, lp *listPackage, byID map[string]*listPackage) (*Package, error) {
+	path, _, _ := strings.Cut(lp.ImportPath, " ")
 	var files []*ast.File
-	for _, fn := range fileNames {
-		f, err := parser.ParseFile(ld.fset, fn, nil, parser.ParseComments)
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
+	}
+	lookup := func(imp string) (io.ReadCloser, error) {
+		if id, ok := lp.ImportMap[imp]; ok {
+			imp = id
+		}
+		dep := byID[imp]
+		switch {
+		case dep == nil:
+			return nil, fmt.Errorf("%s not listed by go list", imp)
+		case dep.Error != nil:
+			return nil, errors.New(strings.TrimSpace(dep.Error.Err))
+		case dep.Export == "":
+			return nil, fmt.Errorf("no export data for %s", imp)
+		}
+		return os.Open(dep.Export)
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -376,17 +163,14 @@ func (ld *loader) checkFiles(path, dir string, fileNames []string) (*Package, er
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{Importer: ld}
-	tpkg, err := conf.Check(path, ld.fset, files, info)
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
+	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	return &Package{
-		Path:  path,
-		Dir:   dir,
-		Fset:  ld.fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}, nil
+	p := &Package{Path: path, Dir: lp.Dir, Fset: fset, Files: files, Types: tpkg, Info: info}
+	if lp.Module != nil {
+		p.Module = lp.Module.Path
+	}
+	return p, nil
 }

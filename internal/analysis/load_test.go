@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -29,6 +30,11 @@ func TestLoadResolvesPatternsAndModulePaths(t *testing.T) {
 		"internal/a/a.go":  "package a\n\nfunc A() int { return 1 }\n",
 		"internal/b/b.go":  "package b\n\nimport \"example/mini/internal/a\"\n\nfunc B() int { return a.A() }\n",
 		"testdata/skip.go": "package broken !!!\n",
+		// Excluded by its build constraint: checking it would redeclare A.
+		"internal/a/gen.go": "//go:build ignore\n\npackage a\n\nfunc A() int { return 2 }\n",
+		// A nested module is not part of this one.
+		"nested/go.mod": "module example/nested\n\ngo 1.22\n",
+		"nested/n/n.go": "package n\n\nconst N = 1\n",
 	})
 	pkgs, err := Load(LoadConfig{Dir: dir}, "./...")
 	if err != nil {
@@ -52,6 +58,20 @@ func TestLoadResolvesPatternsAndModulePaths(t *testing.T) {
 		if paths[i] != want[i] {
 			t.Fatalf("paths = %v, want %v", paths, want)
 		}
+	}
+}
+
+// TestLoadTypeErrorNamesFileAndLine: a package that does not type-check
+// fails the whole load with the offending position, which corralvet
+// reports with exit status 2.
+func TestLoadTypeErrorNamesFileAndLine(t *testing.T) {
+	dir := writeTree(t, map[string]string{
+		"go.mod":          "module example/mini\n\ngo 1.22\n",
+		"internal/a/a.go": "package a\n\nvar X int = \"one\"\n",
+	})
+	_, err := Load(LoadConfig{Dir: dir}, "./...")
+	if err == nil || !strings.Contains(err.Error(), filepath.Join("internal", "a", "a.go")+":3:") {
+		t.Fatalf("Load error = %v, want one naming internal/a/a.go:3", err)
 	}
 }
 

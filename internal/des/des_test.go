@@ -33,6 +33,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 		t.Fatalf("fired %d events, want %d", len(order), len(want))
 	}
 	for i := range want {
+		//corralvet:ok floateq exact identity intended: events fire at exactly the times they were scheduled for
 		if order[i] != want[i] {
 			t.Fatalf("order[%d] = %v, want %v", i, order[i], want[i])
 		}
@@ -188,6 +189,7 @@ func TestQuickOrdering(t *testing.T) {
 		sorted := append([]Time(nil), times...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		for i := range sorted {
+			//corralvet:ok floateq exact identity intended: events fire at exactly the times they were scheduled for
 			if fired[i] != sorted[i] {
 				return false
 			}

@@ -99,6 +99,7 @@ func TestScaleWorkerCountInvariance(t *testing.T) {
 		if strings.HasPrefix(k, "wallclock_") {
 			continue
 		}
+		//corralvet:ok floateq exact identity intended: determinism: a sweep's results are bit-identical at every worker count
 		if serial.Values[k] != parallel.Values[k] {
 			t.Errorf("key %q differs across worker counts: serial %v, parallel %v",
 				k, serial.Values[k], parallel.Values[k])

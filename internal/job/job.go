@@ -102,8 +102,8 @@ func (j *Job) Validate() error {
 	if len(j.Stages) == 0 {
 		return fmt.Errorf("job %d: no stages", j.ID)
 	}
-	if math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 0) {
-		return fmt.Errorf("job %d: Arrival = %g, must be finite", j.ID, j.Arrival)
+	if math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 0) || j.Arrival < 0 {
+		return fmt.Errorf("job %d: Arrival = %g, must be finite and non-negative", j.ID, j.Arrival)
 	}
 	for i, s := range j.Stages {
 		if err := s.Profile.Validate(); err != nil {

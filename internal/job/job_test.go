@@ -140,7 +140,7 @@ func TestDAGValidate(t *testing.T) {
 	if err := empty.Validate(); err == nil {
 		t.Fatal("empty job not rejected")
 	}
-	for _, arr := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, arr := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -46.47, math.Copysign(1e-300, -1)} {
 		j := diamond()
 		j.Arrival = arr
 		if err := j.Validate(); err == nil || !strings.Contains(err.Error(), "Arrival") {

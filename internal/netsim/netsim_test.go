@@ -382,6 +382,7 @@ func TestManyFlowsDeterministic(t *testing.T) {
 	}
 	t1, c1 := run()
 	t2, c2 := run()
+	//corralvet:ok floateq exact identity intended: determinism: two identical runs must agree bit for bit
 	if t1 != t2 || c1 != c2 {
 		t.Fatalf("simulation not deterministic: (%v,%g) vs (%v,%g)", t1, c1, t2, c2)
 	}

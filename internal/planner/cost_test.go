@@ -116,6 +116,7 @@ func TestReplanIncrementalMatchesFullAtFixedWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	//corralvet:ok floateq exact identity intended: incremental replan at identical widths must reproduce the full plan bit for bit
 	if inc.Makespan != full.Makespan {
 		t.Fatalf("incremental makespan %g != full %g at identical widths", inc.Makespan, full.Makespan)
 	}

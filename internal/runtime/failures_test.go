@@ -114,6 +114,7 @@ func TestSpeculationHarmlessWithoutStragglers(t *testing.T) {
 	mk := func() []*job.Job { return []*job.Job{shuffleJob(1)} }
 	clean := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 26}, mk())
 	spec := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 26, Speculation: true}, mk())
+	//corralvet:ok floateq exact identity intended: speculation without stragglers must leave the run bit-identical
 	if spec.Makespan != clean.Makespan {
 		t.Fatalf("speculation changed a straggler-free run: %g vs %g", spec.Makespan, clean.Makespan)
 	}
@@ -130,6 +131,7 @@ func TestFailureDeterminism(t *testing.T) {
 		}, jobs)
 	}
 	a, b := run(), run()
+	//corralvet:ok floateq exact identity intended: determinism: two identical runs must agree bit for bit
 	if a.Makespan != b.Makespan || a.CrossRackBytes != b.CrossRackBytes {
 		t.Fatalf("failure+straggler run nondeterministic: (%g,%g) vs (%g,%g)",
 			a.Makespan, a.CrossRackBytes, b.Makespan, b.CrossRackBytes)

@@ -17,6 +17,7 @@ func TestQuiesceTimeFoldsRepairTail(t *testing.T) {
 	mk := func() []*job.Job { return []*job.Job{shuffleJob(1)} }
 
 	clean := mustRun(t, Options{Topology: topo, BlockSize: 64e6, Seed: 61}, mk())
+	//corralvet:ok floateq exact identity intended: with no repair tail QuiesceTime is the makespan itself
 	if clean.QuiesceTime != clean.Makespan {
 		t.Fatalf("no repairs ran, yet QuiesceTime %g != Makespan %g",
 			clean.QuiesceTime, clean.Makespan)
@@ -29,6 +30,7 @@ func TestQuiesceTimeFoldsRepairTail(t *testing.T) {
 		Topology: topo, BlockSize: 64e6, Seed: 61,
 		Failures: []Failure{{At: late, Machine: 0}},
 	}, mk())
+	//corralvet:ok floateq exact identity intended: a post-completion failure must leave the makespan bit-identical
 	if res.Makespan != clean.Makespan {
 		t.Fatalf("post-completion failure changed Makespan: %g vs %g",
 			res.Makespan, clean.Makespan)
@@ -73,6 +75,7 @@ func TestSimEndFollowsLateRecovery(t *testing.T) {
 	if res.QuiesceTime >= 1001 {
 		t.Fatalf("QuiesceTime %g does not precede the recovery; premise gone", res.QuiesceTime)
 	}
+	//corralvet:ok floateq exact identity intended: sim_end carries QuiesceTime itself as its value
 	if last.T != 1001 || last.Value != res.QuiesceTime {
 		t.Fatalf("sim_end at t=%g value %g; want t=1001 (the recovery), value %g (QuiesceTime)",
 			last.T, last.Value, res.QuiesceTime)

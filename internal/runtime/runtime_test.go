@@ -60,6 +60,16 @@ func mustRun(t *testing.T, opts Options, jobs []*job.Job) *Result {
 	return res
 }
 
+// TestRunRejectsNegativeArrival: a job arriving before time zero is an
+// input error, not an event scheduled in the simulator's past.
+func TestRunRejectsNegativeArrival(t *testing.T) {
+	j := shuffleJob(1)
+	j.Arrival = -46.47
+	if _, err := Run(Options{Topology: smallTopo(), BlockSize: 64e6, Seed: 1}, []*job.Job{j}); err == nil {
+		t.Fatal("Run accepted a job with a negative arrival")
+	}
+}
+
 func TestSingleJobCompletes(t *testing.T) {
 	jobs := []*job.Job{shuffleJob(1)}
 	res := mustRun(t, Options{Topology: smallTopo(), BlockSize: 64e6, Seed: 1}, jobs)
@@ -81,6 +91,7 @@ func TestSingleJobCompletes(t *testing.T) {
 	if jr.TaskSeconds <= 0 {
 		t.Fatal("no task seconds recorded")
 	}
+	//corralvet:ok floateq exact identity intended: a single job's completion time is the makespan itself
 	if res.Makespan != jr.Completion {
 		t.Fatalf("makespan %g != single job completion %g", res.Makespan, jr.Completion)
 	}
@@ -280,11 +291,13 @@ func TestDeterminism(t *testing.T) {
 		return mustRun(t, Options{Topology: topo, Scheduler: Corral, Plan: plan, BlockSize: 64e6, Seed: 11}, jobs)
 	}
 	a, b := run(), run()
+	//corralvet:ok floateq exact identity intended: determinism: two identical runs must agree bit for bit
 	if a.Makespan != b.Makespan || a.CrossRackBytes != b.CrossRackBytes {
 		t.Fatalf("nondeterministic: (%g,%g) vs (%g,%g)",
 			a.Makespan, a.CrossRackBytes, b.Makespan, b.CrossRackBytes)
 	}
 	for i := range a.Jobs {
+		//corralvet:ok floateq exact identity intended: determinism: two identical runs must agree bit for bit
 		if a.Jobs[i].Completion != b.Jobs[i].Completion {
 			t.Fatalf("job %d completion differs", a.Jobs[i].ID)
 		}

@@ -182,6 +182,7 @@ func TestDeterministicGeneration(t *testing.T) {
 	a := W3(Config{Seed: 7})
 	b := W3(Config{Seed: 7})
 	for i := range a {
+		//corralvet:ok floateq exact identity intended: determinism: the same seed must generate bit-identical jobs
 		if a[i].InputBytes() != b[i].InputBytes() {
 			t.Fatal("generation not deterministic")
 		}
@@ -189,6 +190,7 @@ func TestDeterministicGeneration(t *testing.T) {
 	c := W3(Config{Seed: 8})
 	same := true
 	for i := range a {
+		//corralvet:ok floateq exact identity intended: any difference at all shows the seed is used
 		if a[i].InputBytes() != c[i].InputBytes() {
 			same = false
 		}
@@ -248,6 +250,7 @@ func TestPerturbSizes(t *testing.T) {
 			changed = true
 		}
 		// Original untouched (deep copy).
+		//corralvet:ok floateq exact identity intended: a deep copy leaves the original's bytes untouched, not merely close
 		if jobs[i].Stages[0].Profile.InputBytes != jobs[i].InputBytes() {
 			t.Fatal("original mutated")
 		}
@@ -262,6 +265,7 @@ func TestPerturbArrivals(t *testing.T) {
 	pert := PerturbArrivals(jobs, 0.5, 240, 15)
 	moved := 0
 	for i := range jobs {
+		//corralvet:ok floateq exact identity intended: any change at all counts as a moved arrival
 		if pert[i].Arrival != jobs[i].Arrival {
 			moved++
 			if math.Abs(pert[i].Arrival-jobs[i].Arrival) > 240 && jobs[i].Arrival > 240 {
